@@ -26,7 +26,7 @@ import numpy as np
 from . import collatz
 from .errors import DomainError
 
-RANGE_CAP = 1 << 24
+RANGE_CAP = collatz.RANGE_CAP
 MAX_LABEL_DEPTH = 20
 
 _FG_TO_LR = str.maketrans("fg", "LR")

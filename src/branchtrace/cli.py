@@ -16,9 +16,10 @@ determined by flags and seeds; nothing varies between runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import bounds, collatz, dyncompose, randstat, rule30
 from .errors import BranchTraceError, DomainError, InconsistentTrace, ResourceError
@@ -75,16 +76,25 @@ def _read_bytes(path: str) -> bytes:
         raise _CliError(2, f"cannot read {path}: {err}")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write to a file, or stdout when path is None; write failures are exit 3."""
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[Callable[[str], object]]:
+    """A write function for a file, or stdout when path is None.
+
+    Failures to open or write the file are exit 3.
+    """
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
     try:
         with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
+            yield handle.write
     except OSError as err:
         raise _CliError(3, f"cannot write {path}: {err}")
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _output(path) as write:
+        write(text)
 
 
 def _emit_json(payload, path: str | None = None) -> None:
@@ -126,11 +136,32 @@ def _cmd_invert(args) -> int:
 
 # --------------------------------------------------------------- survey
 
+# Rows formatted and written per block; bounds the text held at once.
+_BLOCK = 1 << 16
 
-def _survey_rows(result: collatz.SurveyResult) -> Iterable[tuple[str, ...]]:
-    for rec in result:
-        yield (str(rec.n), str(rec.steps), str(rec.peak), str(rec.l_count),
-               rec.stop_reason.value)
+
+def _write_csv(write, keys: tuple[str, ...], blocks: Iterable[tuple]) -> None:
+    template = ",".join("{}" for _ in keys) + "\n"
+    write(",".join(keys) + "\n")
+    for columns in blocks:
+        write("".join(map(template.format, *columns)))
+
+
+def _write_json_rows(write, keys: tuple[str, ...], blocks: Iterable[tuple],
+                     indent: int) -> None:
+    """A JSON array of row objects whose closing bracket sits at ``indent``.
+
+    The fields are decimal or enum strings, which need no escaping, so
+    the text matches json.dumps(indent=2) byte for byte.
+    """
+    pad = " " * (indent + 2)
+    fields = ",\n".join(f'{pad}  "{key}": "{{}}"' for key in keys)
+    template = pad + "{{\n" + fields + "\n" + pad + "}}"
+    opening = "[\n"
+    for columns in blocks:
+        write(opening + ",\n".join(map(template.format, *columns)))
+        opening = ",\n"
+    write("[]" if opening == "[\n" else "\n" + " " * indent + "]")
 
 
 _SURVEY_HEADER = ("n", "steps", "peak", "l_count", "stop_reason")
@@ -138,13 +169,12 @@ _SURVEY_HEADER = ("n", "steps", "peak", "l_count", "stop_reason")
 
 def _cmd_survey(args) -> int:
     result = collatz.survey(args.lo, args.hi)
-    if args.format == "csv":
-        lines = [",".join(_SURVEY_HEADER)]
-        lines.extend(",".join(row) for row in _survey_rows(result))
-        _write_text(args.out, "\n".join(lines) + "\n")
-    else:
-        payload = [dict(zip(_SURVEY_HEADER, row)) for row in _survey_rows(result)]
-        _emit_json(payload, args.out)
+    with _output(args.out) as write:
+        if args.format == "csv":
+            _write_csv(write, _SURVEY_HEADER, result.blocks(_BLOCK))
+        else:
+            _write_json_rows(write, _SURVEY_HEADER, result.blocks(_BLOCK), 0)
+            write("\n")
     return 0
 
 
@@ -239,17 +269,19 @@ def _cmd_test(args) -> int:
 _BOUND_HEADER = ("n", "b_bits", "r_symbols", "l_count")
 
 
+def _bound_blocks(report: bounds.BoundReport) -> Iterator[tuple[list, ...]]:
+    columns = (report.n, report.b_bits, report.r_symbols, report.l_count)
+    for start in range(0, len(report), _BLOCK):
+        yield tuple(column[start:start + _BLOCK].tolist() for column in columns)
+
+
 def _cmd_bound(args) -> int:
     report = bounds.bound_report(args.lo, args.hi)
-    if args.format == "csv":
-        lines = [",".join(_BOUND_HEADER)]
-        lines.extend(
-            f"{rec.n},{rec.b_bits},{rec.r_symbols},{rec.l_count}"
-            for rec in report.records()
-        )
-        _write_text(args.out, "\n".join(lines) + "\n")
-    else:
-        payload = {
+    with _output(args.out) as write:
+        if args.format == "csv":
+            _write_csv(write, _BOUND_HEADER, _bound_blocks(report))
+            return 0
+        head = json.dumps({
             "lo": str(report.lo),
             "hi": str(report.hi),
             "total_bits": str(report.total_bits),
@@ -258,12 +290,11 @@ def _cmd_bound(args) -> int:
             "log2_set_size": report.log2_set_size,
             "violations": [str(v) for v in report.violations],
             "capped": [str(v) for v in report.capped],
-            "records": [
-                dict(zip(_BOUND_HEADER, map(str, rec)))
-                for rec in report.records()
-            ],
-        }
-        _emit_json(payload, args.out)
+        }, indent=2)
+        # Reopen the object to append "records" as its last field.
+        write(head[:-2] + ',\n  "records": ')
+        _write_json_rows(write, _BOUND_HEADER, _bound_blocks(report), 2)
+        write("\n}\n")
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, InconsistentTrace
+from .errors import DomainError, InconsistentTrace, ResourceError
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -31,8 +31,13 @@ R = "R"
 _INT64_STEP_GUARD = ((1 << 63) - 2) // 3
 # Ranges starting above this go straight to the exact scalar path.
 _INT64_INPUT_LIMIT = 1 << 62
+_INT64_MAX = (1 << 63) - 1
 
 _CHUNK = 1 << 17
+
+# Most inputs one survey (or bound report) takes; its columns then
+# need about 0.4 GB.
+RANGE_CAP = 1 << 24
 
 
 class StopMode(enum.Enum):
@@ -231,6 +236,7 @@ _REASON_CODES = (
     StopReason.REPEAT_DETECTED,
     StopReason.STEP_CAP_EXCEEDED,
 )
+_REASON_VALUES = np.array([reason.value for reason in _REASON_CODES], dtype=object)
 
 
 @dataclass
@@ -238,7 +244,8 @@ class SurveyResult:
     """Columnar result of :func:`survey` over a contiguous range.
 
     Rows are in range order. Peaks that overflow int64 (possible only
-    via the exact fallback path) are kept sparsely in ``big_peaks``.
+    via the exact fallback path) are kept sparsely in ``big_peaks``;
+    their entries in ``peaks`` are only placeholders.
     """
 
     lo: int
@@ -270,6 +277,29 @@ class SurveyResult:
         for offset in range(len(self)):
             yield self.record(offset)
 
+    def blocks(self, size: int) -> Iterator[tuple[range, list, list, list, list]]:
+        """Rows in runs of ``size`` as Python columns.
+
+        Each block is (n, steps, peak, l_count, stop reason value), with
+        big peaks already merged into the peak column.
+        """
+        big = sorted(self.big_peaks.items())
+        k = 0
+        for start in range(0, len(self), size):
+            stop = min(start + size, len(self))
+            peaks = self.peaks[start:stop].tolist()
+            while k < len(big) and big[k][0] < stop:
+                offset, peak = big[k]
+                peaks[offset - start] = peak
+                k += 1
+            yield (
+                range(self.lo + start, self.lo + stop),
+                self.steps[start:stop].tolist(),
+                peaks,
+                self.l_count[start:stop].tolist(),
+                _REASON_VALUES[self.stop_codes[start:stop]].tolist(),
+            )
+
     def max_steps(self) -> int:
         return int(self.steps.max())
 
@@ -283,22 +313,20 @@ class SurveyResult:
         return int(np.count_nonzero(self.stop_codes))
 
 
-def _summarize_scalar(n: int, rule: StopRule) -> tuple[int, int, int, int]:
-    """Exact per-input summary (steps, peak, l_count, stop code)."""
-    at_one = rule.mode is StopMode.AT_ONE
+def _summarize(n: int, max_steps: int, at_one: bool = True) -> tuple[int, int, int, int]:
+    """Exact (steps, peak, l_count, stop code) of the trajectory from ``n``.
+
+    ``n`` may also be a value met mid-trajectory, with ``max_steps`` the
+    budget left. Unlike :func:`trace` it keeps no branch string.
+    """
     seen = None if at_one else {n}
-    cur = n
-    peak = n
-    steps = 0
-    l_count = 0
-    code = None
+    cur = peak = n
+    steps = l_count = 0
     while True:
         if at_one and cur == 1:
-            code = 0
-            break
-        if steps >= rule.max_steps:
-            code = 2
-            break
+            return steps, peak, l_count, 0
+        if steps >= max_steps:
+            return steps, peak, l_count, 2
         if cur & 1:
             cur = 3 * cur + 1
         else:
@@ -309,96 +337,112 @@ def _summarize_scalar(n: int, rule: StopRule) -> tuple[int, int, int, int]:
             peak = cur
         if seen is not None:
             if cur in seen:
-                code = 1
-                break
+                return steps, peak, l_count, 1
             seen.add(cur)
-    return steps, peak, l_count, code
 
 
-def _finish_scalar(cur: int, budget: int) -> tuple[int, int, int, int]:
-    """Finish an AT_ONE trajectory exactly from a mid-flight value.
+def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarray,
+                  l_count: np.ndarray, peaks: np.ndarray, codes: np.ndarray,
+                  big: np.ndarray, big_peaks: dict[int, int]) -> None:
+    """Fill rows [base, stop) of the AT_ONE columns by memoized descent.
 
-    Returns (extra steps, peak from here, extra l_count, stop code).
+    Every lane steps in lockstep until its value falls below its start
+    while still in the range (its descent target) or reaches 1, so its
+    own step count is the round it retires in. A row's totals are its
+    own plus its target's: steps and halvings add, peaks take the max.
+    Rows before ``base`` are final; targets inside the chunk are resolved
+    by synchronous pointer jumping.
+
+    A lane whose odd step could overflow int64 is finished by the exact
+    scalar stepper. So is a row whose chain meets a ``big`` row (peak in
+    ``big_peaks``), or whose total exceeds ``max_steps``; a capped row
+    holds ``max_steps`` steps, so every row chained to one exceeds it.
     """
-    peak = cur
-    steps = 0
-    l_count = 0
-    while True:
-        if cur == 1:
-            return steps, peak, l_count, 0
-        if steps >= budget:
-            return steps, peak, l_count, 2
-        if cur & 1:
-            cur = 3 * cur + 1
-        else:
-            cur >>= 1
-            l_count += 1
-        steps += 1
-        if cur > peak:
-            peak = cur
-
-
-def _survey_chunk_int64(
-    lo: int, size: int, max_steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, int]]:
-    """AT_ONE summaries for [lo, lo+size) via batched int64 stepping.
-
-    Every still-active trajectory advances one step per round, so the
-    cap and step counts are exact. Any value whose odd step could
-    overflow int64 is finished by the exact scalar path instead.
-    """
-    ns = np.arange(lo, lo + size, dtype=np.int64)
-    steps = np.zeros(size, dtype=np.int64)
-    l_count = np.zeros(size, dtype=np.int64)
-    peaks = ns.copy()
-    codes = np.zeros(size, dtype=np.uint8)
-    big_peaks: dict[int, int] = {}
-
-    idx = np.nonzero(ns != 1)[0]
-    cur = ns[idx]
+    s, lc, pk, cd, bg = (a[base:stop] for a in (steps, l_count, peaks, codes, big))
+    # Offset of each row's descent target; negative for none.
+    target = np.full(stop - base, -1, dtype=np.int64)
+    lane = np.nonzero(pk != 1)[0]
+    cur = pk[lane]
+    top = cur.copy()
+    # lo <= cur < start  <=>  (cur - lo) < (start - lo), compared unsigned.
+    span = (cur - lo).view(np.uint64)
+    halves = np.zeros(lane.size, dtype=np.int64)
     taken = 0
-    while idx.size:
+    while lane.size:
         if taken >= max_steps:
-            codes[idx] = 2
+            s[lane], lc[lane], pk[lane], cd[lane] = taken, halves, top, 2
             break
         if int(cur.max()) > _INT64_STEP_GUARD:
             divert = cur > _INT64_STEP_GUARD
-            for j, value in zip(idx[divert], cur[divert]):
-                j = int(j)
-                extra, peak_rest, extra_l, code = _finish_scalar(
-                    int(value), max_steps - taken
-                )
-                steps[j] = taken + extra
-                l_count[j] += extra_l
-                codes[j] = code
-                peak = max(int(peaks[j]), peak_rest)
-                if peak <= np.iinfo(np.int64).max:
-                    peaks[j] = peak
+            # Earlier values were <= the guard, so the peak from here on
+            # is the row's peak.
+            for j, value, halved in zip(lane[divert].tolist(), cur[divert].tolist(),
+                                        halves[divert].tolist()):
+                extra, peak, extra_l, code = _summarize(value, max_steps - taken)
+                s[j] = taken + extra
+                lc[j] = halved + extra_l
+                cd[j] = code
+                if peak > _INT64_MAX:
+                    pk[j] = value
+                    bg[j] = True
+                    big_peaks[base + j] = peak
                 else:
-                    big_peaks[j] = peak
+                    pk[j] = peak
             keep = ~divert
-            idx = idx[keep]
-            cur = cur[keep]
-            if not idx.size:
-                break
+            lane, span, cur, top, halves = (a[keep] for a in (lane, span, cur, top, halves))
+            continue
         odd = (cur & 1).astype(bool)
         cur = np.where(odd, 3 * cur + 1, cur >> 1)
+        halves += ~odd
+        np.maximum(top, cur, out=top)
         taken += 1
-        steps[idx] = taken
-        l_count[idx] += ~odd
-        peaks[idx] = np.maximum(peaks[idx], cur)
-        done = cur == 1
-        if done.any():
-            idx = idx[~done]
-            cur = cur[~done]
-    return steps, l_count, peaks, codes, big_peaks
+        down = (cur - lo).view(np.uint64) < span
+        if lo > 1:
+            down |= cur == 1
+        if down.any():
+            j = lane[down]
+            s[j] = taken
+            lc[j] = halves[down]
+            pk[j] = top[down]
+            target[j] = cur[down] - lo
+            keep = ~down
+            lane, span, cur, top, halves = (a[keep] for a in (lane, span, cur, top, halves))
+
+    chained = target >= 0
+    early = np.nonzero(chained & (target < base))[0]
+    t = target[early]
+    s[early] += steps[t]
+    lc[early] += l_count[t]
+    pk[early] = np.maximum(pk[early], peaks[t])
+    bg[early] |= big[t]
+    nxt = np.where(chained & (target >= base), target - base, -1)
+    pending = np.nonzero(nxt >= 0)[0]
+    while pending.size:
+        k = nxt[pending]
+        s[pending] += s[k]
+        lc[pending] += lc[k]
+        pk[pending] = np.maximum(pk[pending], pk[k])
+        bg[pending] |= bg[k]
+        nxt[pending] = nxt[k]
+        pending = pending[nxt[pending] >= 0]
+
+    # A big row's pk is a placeholder: the first value of its trajectory
+    # past the guard, as chained from the diverted lane it meets.
+    for j in np.nonzero(chained & (bg | (s > max_steps)))[0].tolist():
+        s[j], peak, lc[j], cd[j] = _summarize(lo + base + j, max_steps)
+        bg[j] = peak > _INT64_MAX
+        if bg[j]:
+            big_peaks[base + j] = peak
+        else:
+            pk[j] = peak
 
 
 def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     """Summarize every trajectory for n in [lo, hi], in range order.
 
     The result is deterministic for a given (lo, hi, rule); internal
-    chunking never reorders rows.
+    chunking never reorders rows. A range of more than :data:`RANGE_CAP`
+    inputs raises :class:`ResourceError` before anything is allocated.
     """
     _require_positive(lo, "lo")
     _require_positive(hi, "hi")
@@ -407,40 +451,29 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     if rule is None:
         rule = StopRule()
     size = hi - lo + 1
+    if size > RANGE_CAP:
+        raise ResourceError(f"range size {size} exceeds cap {RANGE_CAP}")
 
-    fast = rule.mode is StopMode.AT_ONE and hi <= _INT64_INPUT_LIMIT
-    if fast:
-        parts = []
-        for chunk_lo in range(lo, hi + 1, _CHUNK):
-            chunk_size = min(_CHUNK, hi - chunk_lo + 1)
-            parts.append(
-                (chunk_lo - lo, _survey_chunk_int64(chunk_lo, chunk_size, rule.max_steps))
-            )
-        steps = np.concatenate([p[1][0] for p in parts])
-        l_count = np.concatenate([p[1][1] for p in parts])
-        peaks = np.concatenate([p[1][2] for p in parts])
-        codes = np.concatenate([p[1][3] for p in parts])
-        big_peaks: dict[int, int] = {}
-        for base, part in parts:
-            for j, peak in part[4].items():
-                big_peaks[base + j] = peak
+    steps = np.zeros(size, dtype=np.int64)
+    l_count = np.zeros(size, dtype=np.int64)
+    codes = np.zeros(size, dtype=np.uint8)
+    big_peaks: dict[int, int] = {}
+    if rule.mode is StopMode.AT_ONE and hi <= _INT64_INPUT_LIMIT:
+        peaks = np.arange(lo, hi + 1, dtype=np.int64)
+        big = np.zeros(size, dtype=bool)
+        for base in range(0, size, _CHUNK):
+            _survey_chunk(lo, base, min(base + _CHUNK, size), rule.max_steps,
+                          steps, l_count, peaks, codes, big, big_peaks)
     else:
-        steps = np.zeros(size, dtype=np.int64)
-        l_count = np.zeros(size, dtype=np.int64)
         peaks = np.zeros(size, dtype=np.int64)
-        codes = np.zeros(size, dtype=np.uint8)
-        big_peaks = {}
-        int64_max = np.iinfo(np.int64).max
+        at_one = rule.mode is StopMode.AT_ONE
         for offset in range(size):
-            n = lo + offset
-            n_steps, peak, n_l, code = _summarize_scalar(n, rule)
-            steps[offset] = n_steps
-            l_count[offset] = n_l
-            codes[offset] = code
-            if peak <= int64_max:
-                peaks[offset] = peak
-            else:
+            steps[offset], peak, l_count[offset], codes[offset] = _summarize(
+                lo + offset, rule.max_steps, at_one)
+            if peak > _INT64_MAX:
                 big_peaks[offset] = peak
+            else:
+                peaks[offset] = peak
 
     return SurveyResult(
         lo=lo,

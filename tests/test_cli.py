@@ -5,11 +5,14 @@ exit codes, stdout/stderr routing, and file outputs are all exercised
 exactly as a user sees them.
 """
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from branchtrace import cli, collatz
 
 CMD = [sys.executable, "-m", "branchtrace"]
 
@@ -133,6 +136,57 @@ def test_survey_to_file(tmp_path):
 
 def test_survey_reversed_range_is_usage_error():
     assert run("survey", "10", "1").returncode == 2
+
+
+_LIMIT = 1 << 62
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (("survey", 1, 40), "survey_1_40.csv"),
+        (("survey", 1, 12, "--format", "json"), "survey_1_12.json"),
+        (("bound", 1, 40), "bound_1_40.csv"),
+        (("bound", 1, 16, "--format", "json"), "bound_1_16.json"),
+        # Peaks beyond int64, from the last range on the int64 lanes.
+        (("survey", _LIMIT - 15, _LIMIT), "survey_2p62_window.csv"),
+    ],
+)
+def test_row_writers_match_golden_bytes(tmp_path, golden_dir, args, golden):
+    want = (golden_dir / golden).read_bytes()
+    stdout = subprocess.run(CMD + [str(a) for a in args], capture_output=True,
+                            timeout=120).stdout
+    assert stdout == want
+    out = tmp_path / golden
+    assert run(*args, "--out", out).returncode == 0
+    assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+@pytest.mark.parametrize("indent", [0, 2])
+def test_json_row_writer_lays_out_like_json_dumps(rows, indent):
+    # In-process, because no CLI range yields an empty "records" list.
+    records = [{"n": str(n), "b_bits": str(n.bit_length())} for n in range(1, rows + 1)]
+    blocks = [
+        ([r["n"] for r in part], [r["b_bits"] for r in part])
+        for part in (records[:1], records[1:]) if part
+    ]
+    out = io.StringIO()
+    cli._write_json_rows(out.write, ("n", "b_bits"), blocks, indent)
+    if indent == 0:
+        want = json.dumps(records, indent=2)
+    else:
+        want = json.dumps({"records": records}, indent=2)
+        want = want[len('{\n  "records": '):-len("\n}")]
+    assert out.getvalue() == want
+
+
+@pytest.mark.parametrize("command", ["survey", "bound"])
+def test_range_above_cap_is_refused_before_work(command):
+    proc = run(command, "1", collatz.RANGE_CAP + 1)
+    assert proc.returncode == 2
+    assert "exceeds cap" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_survey_write_failure_is_io_error(tmp_path):

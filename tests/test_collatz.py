@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchtrace import collatz
-from branchtrace.errors import DomainError, InconsistentTrace
+from branchtrace.errors import DomainError, InconsistentTrace, ResourceError
 
 import oracles
 
@@ -204,10 +204,7 @@ def test_survey_peaks_exceeding_int64_are_exact():
 
 def test_survey_step_cap_rows():
     result = collatz.survey(1, 40, collatz.StopRule.at_one(5))
-    for rec in result:
-        ref = collatz.trace(rec.n, collatz.StopRule.at_one(5))
-        assert rec.steps == ref.steps
-        assert rec.stop_reason is ref.stop_reason
+    assert_rows_exact(result, range(len(result)))
     assert result.non_reached_count() > 0
 
 
@@ -216,6 +213,104 @@ def test_survey_rejects_bad_ranges():
         collatz.survey(10, 1)
     with pytest.raises(DomainError):
         collatz.survey(0, 5)
+
+
+def test_survey_refuses_ranges_above_the_cap():
+    with pytest.raises(ResourceError):
+        collatz.survey(1, collatz.RANGE_CAP + 1)
+
+
+# ------------------------------------------ memoized descent, differential
+
+
+def assert_rows_exact(result, offsets):
+    """Rows agree with trace() and the oracle on every summary field."""
+    rule = result.rule
+    at_one = rule.mode is collatz.StopMode.AT_ONE
+    for offset in offsets:
+        rec = result.record(offset)
+        ref = collatz.trace(rec.n, rule)
+        want = oracles.hailstone(rec.n, stop_at_one=at_one, max_steps=rule.max_steps)
+        got = (rec.steps, rec.l_count, rec.peak, rec.stop_reason.value)
+        assert got == (ref.steps, ref.l_count, ref.peak, ref.stop_reason.value), rec.n
+        assert got == (want["steps"], want["l_count"], want["peak"], want["stop_reason"]), rec.n
+
+
+def descent(n):
+    """First value below n on n's trajectory, and the peak before it."""
+    cur = peak = n
+    while cur >= n:
+        cur = 3 * cur + 1 if cur & 1 else cur >> 1
+        peak = max(peak, cur)
+    return cur, peak
+
+
+@pytest.mark.parametrize("lo, hi", [(27, 60), (1000, 1400)])
+def test_survey_descents_below_lo(lo, hi):
+    result = collatz.survey(lo, hi)
+    assert_rows_exact(result, range(len(result)))
+    targets = [descent(n)[0] for n in range(lo, hi + 1)]
+    assert any(t < lo for t in targets) and any(t >= lo for t in targets)
+
+
+def test_survey_chunk_edges_with_earlier_and_same_chunk_targets():
+    chunk = collatz._CHUNK
+    result = collatz.survey(1, 2 * chunk + 60)
+    offsets = [*range(chunk - 60, chunk + 60), *range(2 * chunk - 60, 2 * chunk + 60)]
+    assert_rows_exact(result, offsets)
+    same = earlier = 0
+    for offset in offsets:
+        target = descent(1 + offset)[0] - 1
+        if target // chunk == offset // chunk:
+            same += 1
+        else:
+            earlier += 1
+    assert same and earlier
+
+
+@pytest.mark.parametrize("cap", [111, 110, 118, 117])
+def test_survey_cap_at_a_descending_rows_total(cap):
+    # With lo = 1 every row descends to a row in the range; 27 takes 111
+    # steps in all and 97 takes 118.
+    result = collatz.survey(1, 120, collatz.StopRule.at_one(cap))
+    assert_rows_exact(result, range(len(result)))
+    for n, total in ((27, 111), (97, 118)):
+        assert (result.stop_codes[n - 1] == 0) == (cap >= total)
+
+
+@pytest.mark.parametrize("hi", [1 << 62, (1 << 62) + 1])
+def test_survey_window_at_the_int64_input_limit(hi):
+    # hi = 2^62 is the last range on the int64 lanes; one more goes scalar.
+    result = collatz.survey(hi - 40, hi)
+    assert_rows_exact(result, range(len(result)))
+    assert len(result.big_peaks) > 10
+
+
+def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
+    # At real scale a row can only descend to a big-peak row in a range
+    # wider than RANGE_CAP. Lowering the overflow guard, the int64 limit
+    # (kept at 3x the guard, as for real) and the chunk puts diverted
+    # lanes, big peaks and chains through them, to targets in the same
+    # chunk and in earlier ones, inside a small dense range.
+    guard, chunk = 2_000, 512
+    monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
+    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    monkeypatch.setattr(collatz, "_CHUNK", chunk)
+    for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(60)):
+        result = collatz.survey(1, 3000, rule)
+        assert_rows_exact(result, range(len(result)))
+        same_chunk = set()
+        for offset in result.big_peaks:
+            target, peak = descent(1 + offset)
+            if peak <= guard and target - 1 in result.big_peaks:
+                same_chunk.add((target - 1) // chunk == offset // chunk)
+        assert same_chunk == {True, False}
+
+
+@pytest.mark.parametrize("lo", [1, 2, 3])
+def test_survey_on_repeat_matches_trace(lo):
+    result = collatz.survey(lo, lo + 30, collatz.StopRule.on_repeat())
+    assert_rows_exact(result, range(len(result)))
 
 
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=50))
