@@ -101,16 +101,25 @@ def _emit_json(payload, path: str | None = None) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _decimal(value: int) -> str:
+    """``str(value)``; exit 2 past the interpreter's int-to-text limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _CliError(2, f"a {value.bit_length()}-bit result exceeds Python's "
+                           f"{sys.get_int_max_str_digits()}-digit int-to-text limit") from None
+
+
 # ---------------------------------------------------------------- trace
 
 
 def _trace_payload(rec: collatz.TraceRecord) -> dict:
     return {
-        "n": str(rec.n),
+        "n": _decimal(rec.n),
         "trace": rec.trace,
-        "steps": str(rec.steps),
-        "peak": str(rec.peak),
-        "terminal": str(rec.terminal),
+        "steps": _decimal(rec.steps),
+        "peak": _decimal(rec.peak),
+        "terminal": _decimal(rec.terminal),
         "stop_reason": rec.stop_reason.value,
     }
 
@@ -130,7 +139,7 @@ def _cmd_invert(args) -> int:
     if set(args.trace) - {"L", "R"}:
         raise _CliError(2, "trace may only hold the characters L and R")
     value = collatz.decode(args.trace, args.terminal)
-    _write_text(None, f"{value}\n")
+    _write_text(None, _decimal(value) + "\n")
     return 0
 
 
@@ -169,6 +178,10 @@ _SURVEY_HEADER = ("n", "steps", "peak", "l_count", "stop_reason")
 
 def _cmd_survey(args) -> int:
     result = collatz.survey(args.lo, args.hi)
+    if result.big_peaks:
+        # Refuse before writing a byte; every other field is no longer
+        # than the inputs, which parsed.
+        _decimal(max(result.big_peaks.values()))
     with _output(args.out) as write:
         if args.format == "csv":
             _write_csv(write, _SURVEY_HEADER, result.blocks(_BLOCK))

@@ -10,6 +10,22 @@ All arithmetic is exact. Values routinely overshoot 64 bits, so inputs
 and trajectory values are plain Python integers throughout; the batch
 path in :func:`survey` uses int64 arrays only while provably safe and
 falls back to exact scalar arithmetic otherwise.
+
+The exact stepper jumps K = 8 shortcut steps at a time. With T(x) = x/2
+for even x and (3x+1)/2 for odd x (an ``L``, or an ``RL`` pair), the
+next K parities of n depend only on s = n mod 2^K (Terras, 1976), and
+for n = 2^K q + s the i-th value of the block is 3^a 2^(K-i) q + t_i,
+where a counts the odd steps so far and t_i = T^i(s). So a table over
+the 256 residues gives each block's branch text, 3^r and T^K(s), with
+T^K(n) = 3^r q + T^K(s). Every value inside a block is at most the
+start or some 3x+1 of an odd step, and those are A q + B with distinct
+coefficients A = 3^(a+1) 2^(K-i). When q > max B over all residues,
+the one with the largest A is the block's maximum: it beats any other
+A' q + B' by at least q + B - B' > 0. The table keeps that one
+candidate, and blocks are taken only from values of at least
+(max B + 1) 2^K and 2^K (floor + 1). Every value of such a block is
+at least q, which is above the stop floor (1 for AT_ONE), so no block
+passes the value the walk must stop at.
 """
 
 from __future__ import annotations
@@ -119,6 +135,111 @@ def step(n: int) -> tuple[int, str]:
     return n >> 1, L
 
 
+_K = 8
+_MASK = (1 << _K) - 1
+
+
+def _parity(text: str) -> str:
+    """One character per shortcut step: ``1`` for ``RL``, ``0`` for ``L``."""
+    return text.replace("RL", "1").replace(L, "0")
+
+
+def _block_table() -> tuple[tuple, dict[str, tuple[int, int, int]], int]:
+    """The K-step blocks of every residue s < 2^K, their inverse, and the
+    smallest value from which blocks are exact (see the module docstring).
+
+    A block is (text, len(text), 3^r, T^K(s), A, B) with A q + B its peak
+    candidate (0, 0 when it has no odd step); the inverse maps the
+    block's parity string to (s, 3^r, T^K(s)).
+    """
+    table, inverse, top_b = [], {}, 0
+    for s in range(1 << _K):
+        t, coeff, a, b, text = s, 1 << _K, 0, 0, ""
+        for _ in range(_K):
+            if t & 1:
+                top_b = max(top_b, 3 * t + 1)
+                if 3 * coeff > a:
+                    a, b = 3 * coeff, 3 * t + 1
+                t, coeff, text = (3 * t + 1) >> 1, (3 * coeff) >> 1, text + R + L
+            else:
+                t, coeff, text = t >> 1, coeff >> 1, text + L
+        table.append((text, len(text), coeff, t, a, b))
+        inverse[_parity(text)] = (s, coeff, t)
+    return tuple(table), inverse, (top_b + 1) << _K
+
+
+_TAB, _INV, _THRESH = _block_table()
+
+
+def _walk(n: int, budget: int, floor: int = 1, text: bool = False):
+    """Exact steps from ``n`` until the value is <= ``floor`` or ``budget``
+    steps are taken; floor 0 never stops.
+
+    Returns (steps, peak, halvings, final value, branch text or None).
+    Whole K-step blocks are taken while the value is at least
+    ``_THRESH`` and 2^K (floor + 1), and the block fits the budget.
+    """
+    cur = peak = n
+    steps = halves = 0
+    pieces = [] if text else None
+    fast = max(_THRESH, (floor + 1) << _K)
+    while cur > floor and steps < budget:
+        if cur >= fast:
+            chunk, length, mul, add, a, b = _TAB[cur & _MASK]
+            if steps + length <= budget:
+                q = cur >> _K
+                if a * q + b > peak:
+                    peak = a * q + b
+                cur = mul * q + add
+                steps += length
+                halves += _K
+                if text:
+                    pieces.append(chunk)
+                continue
+        if cur & 1:
+            cur = 3 * cur + 1
+            if cur > peak:
+                peak = cur
+            if text:
+                pieces.append(R)
+        else:
+            cur >>= 1
+            halves += 1
+            if text:
+                pieces.append(L)
+        steps += 1
+    return steps, peak, halves, cur, "".join(pieces) if text else None
+
+
+def _walk_repeat(n: int, budget: int, text: bool = False):
+    """Exact steps from ``n`` until a value repeats or ``budget`` steps.
+
+    Returns (steps, peak, halvings, final value, branch text or None,
+    stop code): 1 for a repeat, 2 at the cap.
+    """
+    seen = {n}
+    cur = peak = n
+    steps = halves = 0
+    pieces = [] if text else None
+    while steps < budget:
+        if cur & 1:
+            cur = 3 * cur + 1
+            if text:
+                pieces.append(R)
+        else:
+            cur >>= 1
+            halves += 1
+            if text:
+                pieces.append(L)
+        steps += 1
+        if cur > peak:
+            peak = cur
+        if cur in seen:
+            return steps, peak, halves, cur, "".join(pieces) if text else None, 1
+        seen.add(cur)
+    return steps, peak, halves, cur, "".join(pieces) if text else None, 2
+
+
 def trace(n: int, rule: StopRule | None = None) -> TraceRecord:
     """Iterate from ``n`` until the stop rule fires or the step cap hits.
 
@@ -129,62 +250,25 @@ def trace(n: int, rule: StopRule | None = None) -> TraceRecord:
     _require_positive(n)
     if rule is None:
         rule = StopRule()
-    at_one = rule.mode is StopMode.AT_ONE
-    max_steps = rule.max_steps
-    seen = None if at_one else {n}
-
-    cur = n
-    peak = n
-    symbols: list[str] = []
-    while True:
-        if at_one and cur == 1:
-            reason = StopReason.REACHED_ONE
-            break
-        if len(symbols) >= max_steps:
-            reason = StopReason.STEP_CAP_EXCEEDED
-            break
-        if cur & 1:
-            cur = 3 * cur + 1
-            symbols.append(R)
-        else:
-            cur >>= 1
-            symbols.append(L)
-        if cur > peak:
-            peak = cur
-        if seen is not None:
-            if cur in seen:
-                reason = StopReason.REPEAT_DETECTED
-                break
-            seen.add(cur)
-
+    if rule.mode is StopMode.AT_ONE:
+        steps, peak, _, cur, symbols = _walk(n, rule.max_steps, text=True)
+        code = 0 if cur == 1 else 2
+    else:
+        steps, peak, _, cur, symbols, code = _walk_repeat(n, rule.max_steps, text=True)
     return TraceRecord(
         n=n,
-        trace="".join(symbols),
-        steps=len(symbols),
+        trace=symbols,
+        steps=steps,
         peak=peak,
         terminal=cur,
-        stop_reason=reason,
+        stop_reason=_REASON_CODES[code],
     )
 
 
-def decode(trace: str, terminal: int) -> int:
-    """Walk a branch string backwards from ``terminal`` to its input.
-
-    The last recorded symbol is undone first: an ``L`` came from the even
-    predecessor ``2*current``; an ``R`` came from the odd predecessor
-    ``(current - 1) / 3``, which must exist and be odd. A violated ``R``
-    precondition raises :class:`InconsistentTrace` carrying the forward
-    index of the failing symbol.
-    """
-    _require_positive(terminal, "terminal")
-    for ch in trace:
-        if ch not in (L, R):
-            raise DomainError(f"invalid branch symbol {ch!r}")
-    cur = terminal
-    last = len(trace) - 1
-    for k, sym in enumerate(reversed(trace)):
-        index = last - k
-        if sym == L:
+def _undo(trace: str, cur: int, start: int = 0) -> int:
+    """Undo ``trace[start:]`` backwards from ``cur``, one symbol at a time."""
+    for index in range(len(trace) - 1, start - 1, -1):
+        if trace[index] == L:
             cur = 2 * cur
             continue
         if cur <= 1 or cur % 3 != 1:
@@ -200,6 +284,43 @@ def decode(trace: str, terminal: int) -> int:
     return cur
 
 
+def decode(trace: str, terminal: int) -> int:
+    """Walk a branch string backwards from ``terminal`` to its input.
+
+    The last recorded symbol is undone first: an ``L`` came from the even
+    predecessor ``2*current``; an ``R`` came from the odd predecessor
+    ``(current - 1) / 3``, which must exist and be odd. A violated ``R``
+    precondition raises :class:`InconsistentTrace` carrying the forward
+    index of the failing symbol.
+
+    Whole K-step blocks are undone through the inverse table, and the
+    result is kept only if a forward walk reproduces ``trace`` and
+    ``terminal``; anything else is decided by the per-symbol walk.
+    """
+    _require_positive(terminal, "terminal")
+    if trace.strip(L + R):
+        for ch in trace:
+            if ch not in (L, R):
+                raise DomainError(f"invalid branch symbol {ch!r}")
+    parity = _parity(trace)
+    blocks = (len(parity) - parity.endswith(R)) // _K
+    head = _K * blocks + parity.count("1", 0, _K * blocks)
+    cur = _undo(trace, terminal, head)
+    keys = [parity[i:i + _K] for i in range(0, _K * blocks, _K)]
+    for block in map(_INV.get, reversed(keys)):
+        if block is None:
+            break
+        s, mul, add = block
+        q, rem = divmod(cur - add, mul)
+        if rem or q < 0:
+            break
+        cur = (q << _K) | s
+    else:
+        if _walk(cur, len(trace), 0, True)[3:] == (terminal, trace):
+            return cur
+    return _undo(trace, terminal)
+
+
 def replay(n: int, trace: str) -> tuple[int, int]:
     """Apply a branch string forward from ``n``; return (terminal, peak).
 
@@ -208,6 +329,14 @@ def replay(n: int, trace: str) -> tuple[int, int]:
     trajectory of ``n``.
     """
     _require_positive(n)
+    _, peak, _, cur, text = _walk(n, len(trace), 0, True)
+    if text == trace:
+        return cur, peak
+    return _replay_symbols(n, trace)
+
+
+def _replay_symbols(n: int, trace: str) -> tuple[int, int]:
+    """:func:`replay` one symbol at a time, failing at the first bad one."""
     cur = n
     peak = n
     for index, sym in enumerate(trace):
@@ -314,31 +443,12 @@ class SurveyResult:
 
 
 def _summarize(n: int, max_steps: int, at_one: bool = True) -> tuple[int, int, int, int]:
-    """Exact (steps, peak, l_count, stop code) of the trajectory from ``n``.
-
-    ``n`` may also be a value met mid-trajectory, with ``max_steps`` the
-    budget left. Unlike :func:`trace` it keeps no branch string.
-    """
-    seen = None if at_one else {n}
-    cur = peak = n
-    steps = l_count = 0
-    while True:
-        if at_one and cur == 1:
-            return steps, peak, l_count, 0
-        if steps >= max_steps:
-            return steps, peak, l_count, 2
-        if cur & 1:
-            cur = 3 * cur + 1
-        else:
-            cur >>= 1
-            l_count += 1
-        steps += 1
-        if cur > peak:
-            peak = cur
-        if seen is not None:
-            if cur in seen:
-                return steps, peak, l_count, 1
-            seen.add(cur)
+    """Exact (steps, peak, l_count, stop code) of the trajectory from ``n``."""
+    if at_one:
+        steps, peak, halves, cur, _ = _walk(n, max_steps)
+        return steps, peak, halves, 0 if cur == 1 else 2
+    steps, peak, halves, _, _, code = _walk_repeat(n, max_steps)
+    return steps, peak, halves, code
 
 
 def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarray,
@@ -353,10 +463,15 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     Rows before ``base`` are final; targets inside the chunk are resolved
     by synchronous pointer jumping.
 
-    A lane whose odd step could overflow int64 is finished by the exact
-    scalar stepper. So is a row whose chain meets a ``big`` row (peak in
-    ``big_peaks``), or whose total exceeds ``max_steps``; a capped row
-    holds ``max_steps`` steps, so every row chained to one exceeds it.
+    A lane whose odd step could overflow int64 is stepped exactly until
+    its value is back at or below the guard, then rejoins the lockstep
+    with those steps kept as a per-lane offset. If such an excursion
+    tops int64 the row is big: its peak goes to ``big_peaks``, its
+    ``peaks`` entry is the first value past the guard of its first
+    excursion, and it takes no descent target. A row whose chain meets a
+    big row, or whose total exceeds ``max_steps``, is re-derived by the
+    exact stepper; a capped row holds ``max_steps`` steps, so every row
+    chained to one exceeds it.
     """
     s, lc, pk, cd, bg = (a[base:stop] for a in (steps, l_count, peaks, codes, big))
     # Offset of each row's descent target; negative for none.
@@ -368,28 +483,47 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     span = (cur - lo).view(np.uint64)
     halves = np.zeros(lane.size, dtype=np.int64)
     taken = 0
+    # Steps each lane took on excursions, and each row's first value past
+    # the guard; None until the first excursion, so a chunk without any
+    # runs the plain loop.
+    extra = first = None
     while lane.size:
-        if taken >= max_steps:
-            s[lane], lc[lane], pk[lane], cd[lane] = taken, halves, top, 2
-            break
+        if extra is None:
+            if taken >= max_steps:
+                s[lane], lc[lane], pk[lane], cd[lane] = taken, halves, top, 2
+                break
+        else:
+            capped = extra >= max_steps - taken
+            if capped.any():
+                j = lane[capped]
+                s[j], lc[j], pk[j], cd[j] = max_steps, halves[capped], top[capped], 2
+                keep = ~capped
+                lane, span, cur, top, halves, extra = (
+                    a[keep] for a in (lane, span, cur, top, halves, extra))
+                continue
         if int(cur.max()) > _INT64_STEP_GUARD:
-            divert = cur > _INT64_STEP_GUARD
-            # Earlier values were <= the guard, so the peak from here on
-            # is the row's peak.
-            for j, value, halved in zip(lane[divert].tolist(), cur[divert].tolist(),
-                                        halves[divert].tolist()):
-                extra, peak, extra_l, code = _summarize(value, max_steps - taken)
-                s[j] = taken + extra
-                lc[j] = halved + extra_l
-                cd[j] = code
+            if extra is None:
+                extra = np.zeros(lane.size, dtype=np.int64)
+                first = np.zeros(stop - base, dtype=np.int64)
+            for k in np.nonzero(cur > _INT64_STEP_GUARD)[0].tolist():
+                j, value = int(lane[k]), int(cur[k])
+                if not first[j]:
+                    first[j] = value
+                walked, peak, halved, end, _ = _walk(
+                    value, max_steps - taken - int(extra[k]), _INT64_STEP_GUARD)
+                extra[k] += walked
+                halves[k] += halved
+                # An odd value past the guard triples past int64, so an
+                # excursion that stays within int64 only halves: its peak
+                # is its first value, which top already holds.
                 if peak > _INT64_MAX:
-                    pk[j] = value
                     bg[j] = True
-                    big_peaks[base + j] = peak
-                else:
-                    pk[j] = peak
-            keep = ~divert
-            lane, span, cur, top, halves = (a[keep] for a in (lane, span, cur, top, halves))
+                    big_peaks[base + j] = max(peak, big_peaks.get(base + j, 0))
+                    # Only 1 stays a target: row 0 when lo = 1, unlinked below.
+                    span[k] = lo == 1
+                # A lane capped inside its excursion retires at the cap
+                # check that comes next; its value is not used again.
+                cur[k] = end if end <= _INT64_STEP_GUARD else 0
             continue
         odd = (cur & 1).astype(bool)
         cur = np.where(odd, 3 * cur + 1, cur >> 1)
@@ -401,12 +535,18 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             down |= cur == 1
         if down.any():
             j = lane[down]
-            s[j] = taken
+            s[j] = taken if extra is None else taken + extra[down]
             lc[j] = halves[down]
             pk[j] = top[down]
             target[j] = cur[down] - lo
             keep = ~down
             lane, span, cur, top, halves = (a[keep] for a in (lane, span, cur, top, halves))
+            if extra is not None:
+                extra = extra[keep]
+
+    if first is not None:
+        target[bg] = -1
+        pk[bg] = first[bg]
 
     chained = target >= 0
     early = np.nonzero(chained & (target < base))[0]
@@ -426,15 +566,36 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
         nxt[pending] = nxt[k]
         pending = pending[nxt[pending] >= 0]
 
-    # A big row's pk is a placeholder: the first value of its trajectory
-    # past the guard, as chained from the diverted lane it meets.
     for j in np.nonzero(chained & (bg | (s > max_steps)))[0].tolist():
-        s[j], peak, lc[j], cd[j] = _summarize(lo + base + j, max_steps)
+        n = lo + base + j
+        s[j], peak, lc[j], cd[j] = _summarize(n, max_steps)
         bg[j] = peak > _INT64_MAX
-        if bg[j]:
-            big_peaks[base + j] = peak
-        else:
+        if not bg[j]:
             pk[j] = peak
+            continue
+        big_peaks[base + j] = peak
+        # The placeholder of a big row: its first value past the guard.
+        while n <= _INT64_STEP_GUARD:
+            n = 3 * n + 1 if n & 1 else n >> 1
+        pk[j] = n
+
+
+def _repeat_rows(lo: int, max_steps: int, steps: np.ndarray, codes: np.ndarray) -> list[int]:
+    """Turn AT_ONE columns into ON_REPEAT ones in place.
+
+    For n >= 3 a trajectory that reaches 1 came through 4, the only
+    way into 2, so its first repeat is the next step 1 -> 4: one more
+    step, with the same l_count and peak. A row that reached 1 at the
+    cap has no room for it. Returns the offsets left to the exact
+    seen-set stepper, rows n = 1, 2 and rows capped short of 1, so that
+    no cycle is assumed.
+    """
+    reached = codes == 0
+    more = reached & (steps < max_steps)
+    steps[more] += 1
+    codes[more] = 1
+    codes[reached & ~more] = 2
+    return [*range(min(max(0, 3 - lo), len(codes))), *np.nonzero(~reached)[0].tolist()]
 
 
 def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
@@ -458,22 +619,25 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     l_count = np.zeros(size, dtype=np.int64)
     codes = np.zeros(size, dtype=np.uint8)
     big_peaks: dict[int, int] = {}
-    if rule.mode is StopMode.AT_ONE and hi <= _INT64_INPUT_LIMIT:
+    at_one = rule.mode is StopMode.AT_ONE
+    if hi <= _INT64_INPUT_LIMIT:
         peaks = np.arange(lo, hi + 1, dtype=np.int64)
         big = np.zeros(size, dtype=bool)
         for base in range(0, size, _CHUNK):
             _survey_chunk(lo, base, min(base + _CHUNK, size), rule.max_steps,
                           steps, l_count, peaks, codes, big, big_peaks)
+        exact = [] if at_one else _repeat_rows(lo, rule.max_steps, steps, codes)
     else:
         peaks = np.zeros(size, dtype=np.int64)
-        at_one = rule.mode is StopMode.AT_ONE
-        for offset in range(size):
-            steps[offset], peak, l_count[offset], codes[offset] = _summarize(
-                lo + offset, rule.max_steps, at_one)
-            if peak > _INT64_MAX:
-                big_peaks[offset] = peak
-            else:
-                peaks[offset] = peak
+        exact = range(size)
+    for offset in exact:
+        steps[offset], peak, l_count[offset], codes[offset] = _summarize(
+            lo + offset, rule.max_steps, at_one)
+        if peak > _INT64_MAX:
+            big_peaks[offset] = peak
+        else:
+            peaks[offset] = peak
+            big_peaks.pop(offset, None)
 
     return SurveyResult(
         lo=lo,

@@ -91,3 +91,53 @@ def entropy(symbols):
         p = count / total
         h -= p * math.log2(p)
     return h
+
+
+def decode(trace, terminal):
+    """Undo a branch string symbol by symbol from the last one.
+
+    Returns ("ok", input), or (error class name, message, index) for the
+    first failure: a symbol that is not L or R, or an R whose value has
+    no odd predecessor (n - 1) / 3.
+    """
+    for ch in trace:
+        if ch not in ("L", "R"):
+            return ("DomainError", f"invalid branch symbol {ch!r}", None)
+    cur = terminal
+    for index in range(len(trace) - 1, -1, -1):
+        if trace[index] == "L":
+            cur = cur * 2
+            continue
+        if cur <= 1 or (cur - 1) % 3 != 0:
+            return ("InconsistentTrace", f"step {index}: no odd predecessor for {cur}", index)
+        prev = (cur - 1) // 3
+        if prev % 2 == 0:
+            return ("InconsistentTrace", f"step {index}: predecessor {prev} of {cur} is even",
+                    index)
+        cur = prev
+    return ("ok", cur)
+
+
+def replay(n, trace):
+    """Apply a branch string symbol by symbol from n.
+
+    Returns ("ok", (terminal, peak)), or (error class name, message,
+    index) for the first symbol that is not L or R or disagrees with the
+    parity of the current value.
+    """
+    cur = peak = n
+    for index, sym in enumerate(trace):
+        if sym == "L":
+            if cur % 2 == 1:
+                return ("InconsistentTrace", f"step {index}: L branch taken at odd value {cur}",
+                        index)
+            cur = cur // 2
+        elif sym == "R":
+            if cur % 2 == 0:
+                return ("InconsistentTrace", f"step {index}: R branch taken at even value {cur}",
+                        index)
+            cur = 3 * cur + 1
+        else:
+            return ("DomainError", f"invalid branch symbol {sym!r}", None)
+        peak = max(peak, cur)
+    return ("ok", (cur, peak))

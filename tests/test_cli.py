@@ -101,6 +101,20 @@ def test_invert_rejects_bad_symbols():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("trace", 2**14000 - 1, "--max-steps", 1000),
+    ("invert", "--trace", "L" * 15000, "--terminal", 1),
+    ("survey", 2**14000 - 1, 2**14000 - 1),
+])
+def test_results_past_the_int_to_text_limit_are_usage_errors(args):
+    # Python refuses to turn ints of more than 4300 decimal digits into
+    # text; the input parses, the peak or decoded value does not print.
+    proc = run(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------- survey
 
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,14 +135,113 @@ def test_replay_checks_parity():
     assert exc.value.index == 1
 
 
-@given(st.integers(min_value=1, max_value=200_000))
+# ------------------------------------------------ K-step block stepper
+
+
+def test_block_table_invariants():
+    table, inverse = collatz._TAB, collatz._INV
+    assert len(table) == 256 == len({collatz._parity(row[0]) for row in table})
+    q = collatz._THRESH >> 8  # max B + 1
+    for s, (text, length, mul, add, a, b) in enumerate(table):
+        assert inverse[collatz._parity(text)] == (s, mul, add)
+        assert length == len(text) and text.count("L") == 8
+        n = (q << 8) + s
+        cur, peak = n, n
+        for sym in text:
+            assert sym == ("R" if cur & 1 else "L")
+            cur = 3 * cur + 1 if cur & 1 else cur >> 1
+            peak = max(peak, cur)
+        assert cur == mul * q + add
+        assert max(n, a * q + b) == peak
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_trace_at_the_block_threshold(delta):
+    n = collatz._THRESH + delta
+    rec = collatz.trace(n)
+    ref = oracles.hailstone(n)
+    assert (rec.trace, rec.peak, rec.terminal) == (ref["trace"], ref["peak"], ref["terminal"])
+    assert collatz.decode(rec.trace, rec.terminal) == n
+    assert collatz.replay(n, rec.trace) == (rec.terminal, rec.peak)
+
+
+def test_caps_inside_and_at_block_edges():
+    n = (1 << 200) + 12345
+    full = oracles.hailstone(n)["trace"]
+    # A block ends after every eighth halving while values stay large.
+    ends = [i + 1 for i, sym in enumerate(full) if sym == "L"][7:24:8]
+    caps = {3, *(end + d for end in ends for d in (-1, 0, 1))}
+    for cap in sorted(caps):
+        rule = collatz.StopRule.at_one(cap)
+        rec = collatz.trace(n, rule)
+        ref = oracles.hailstone(n, max_steps=cap)
+        assert (rec.trace, rec.peak, rec.terminal) == (ref["trace"], ref["peak"], ref["terminal"])
+        assert rec.stop_reason is collatz.StopReason.STEP_CAP_EXCEEDED
+        assert collatz.survey(n, n, rule).record(0) == collatz.TraceSummary(
+            n, cap, ref["peak"], ref["l_count"], collatz.StopReason.STEP_CAP_EXCEEDED)
+
+
+@pytest.mark.parametrize("bits", [64, 255, 1024, 4096])
+def test_wide_inputs_match_the_oracle(bits):
+    n = random.Random(bits).getrandbits(bits) | (1 << (bits - 1))
+    rec = collatz.trace(n)
+    ref = oracles.hailstone(n)
+    assert (rec.trace, rec.steps, rec.peak, rec.terminal, rec.l_count) == (
+        ref["trace"], ref["steps"], ref["peak"], ref["terminal"], ref["l_count"])
+    assert collatz.decode(rec.trace, rec.terminal) == n
+    assert collatz.replay(n, rec.trace) == (rec.terminal, rec.peak)
+
+
+def outcome(fn, *args):
+    """Result, or (error class name, message, index) as the oracles report."""
+    try:
+        return ("ok", fn(*args))
+    except (DomainError, InconsistentTrace) as err:
+        return (type(err).__name__, str(err), getattr(err, "index", None))
+
+
+def damaged(trace):
+    """Every single-symbol flip, X inserted, a trailing R, and RR."""
+    for i, sym in enumerate(trace):
+        yield trace[:i] + ("L" if sym == "R" else "R") + trace[i + 1:]
+    middle = len(trace) // 2
+    yield from ("X" + trace, trace[:middle] + "X" + trace[middle:], trace + "X")
+    yield from (trace + "R", "RR", trace + "RR")
+
+
+def assert_fails_like_the_oracles(n, trace, terminal):
+    for bad in damaged(trace):
+        assert outcome(collatz.decode, bad, terminal) == oracles.decode(bad, terminal), bad
+        assert outcome(collatz.replay, n, bad) == oracles.replay(n, bad), bad
+
+
+def test_decode_and_replay_fail_like_the_per_symbol_oracles():
+    for n in range(1, 300):
+        rec = collatz.trace(n)
+        assert_fails_like_the_oracles(n, rec.trace, rec.terminal)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_wide_decode_and_replay_fail_like_the_per_symbol_oracles(seed):
+    n = random.Random(seed).getrandbits(256) | (1 << 255)
+    rec = collatz.trace(n)
+    assert_fails_like_the_oracles(n, rec.trace, rec.terminal)
+
+
+# The range below the block threshold, plus big inputs that take the
+# K-step blocks.
+inputs = st.one_of(st.integers(min_value=1, max_value=200_000),
+                   st.integers(min_value=collatz._THRESH, max_value=1 << 2048))
+
+
+@given(inputs)
 def test_roundtrip_decode_inverts_trace(n):
     rec = collatz.trace(n)
     assert rec.stop_reason is collatz.StopReason.REACHED_ONE
     assert collatz.decode(rec.trace, rec.terminal) == n
 
 
-@given(st.integers(min_value=1, max_value=200_000))
+@given(inputs)
 def test_replay_reproduces_terminal_and_peak(n):
     rec = collatz.trace(n)
     assert collatz.replay(n, rec.trace) == (rec.terminal, rec.peak)
@@ -305,6 +406,62 @@ def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
             if peak <= guard and target - 1 in result.big_peaks:
                 same_chunk.add((target - 1) // chunk == offset // chunk)
         assert same_chunk == {True, False}
+        assert_big_placeholders(result)
+        # Lanes that passed the guard, came back without topping the
+        # int64 limit, and then descended to a row in the range.
+        rejoined = [n for n in range(2, 3001) if guard < descent(n)[1] <= 3 * guard]
+        assert any(n - 1 not in result.big_peaks for n in rejoined)
+
+
+def excursions(n, max_steps=collatz.DEFAULT_MAX_STEPS):
+    """[first value, peak] of each run of n's trajectory above the int64
+    step guard, and whether the step cap fell inside a run."""
+    guard = collatz._INT64_STEP_GUARD
+    runs, cur, steps = [], n, 0
+    while True:
+        if cur > guard:
+            if not runs or runs[-1][2] != steps - 1:
+                runs.append([cur, cur, steps])
+            runs[-1][1:] = [max(runs[-1][1], cur), steps]
+        if cur == 1 or steps == max_steps:
+            return [run[:2] for run in runs], cur > guard
+        cur = 3 * cur + 1 if cur & 1 else cur >> 1
+        steps += 1
+
+
+def assert_big_placeholders(result):
+    """A big row's peaks entry is the first value past the guard."""
+    for offset in result.big_peaks:
+        runs, _ = excursions(result.lo + offset, result.rule.max_steps)
+        assert result.peaks[offset] == runs[0][0]
+
+
+def test_survey_lanes_rejoin_after_excursions():
+    # Lanes here leave the int64 lanes up to nine times; some top int64
+    # only on a later excursion.
+    lo = (1 << 58) + 1000
+    result = collatz.survey(lo, lo + 120)
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result)
+    runs = {offset: excursions(lo + offset)[0] for offset in range(len(result))}
+    assert max(len(r) for r in runs.values()) >= 5
+    later_big = [offset for offset in result.big_peaks
+                 if runs[offset][0][1] <= collatz._INT64_MAX]
+    assert later_big
+    for offset in later_big:
+        assert result.peaks[offset] == runs[offset][0][0] < result.big_peaks[offset]
+
+
+@pytest.mark.parametrize("lo, cap", [((1 << 62) - 60, 4), ((1 << 62) - 60, 40),
+                                     ((1 << 58) + 1000, 50)])
+def test_survey_cap_inside_an_excursion(lo, cap):
+    result = collatz.survey(lo, lo + 60, collatz.StopRule.at_one(cap))
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result)
+    inside = [offset for offset in range(len(result)) if excursions(lo + offset, cap)[1]]
+    assert inside
+    assert all(result.stop_codes[offset] == 2 and result.steps[offset] == cap
+               for offset in inside)
 
 
 @pytest.mark.parametrize("lo", [1, 2, 3])
@@ -320,3 +477,18 @@ def test_survey_agrees_with_scalar_trace(lo, span):
     rec = result.record(offset)
     ref = collatz.trace(lo + offset)
     assert (rec.steps, rec.peak, rec.l_count) == (ref.steps, ref.peak, ref.l_count)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 7, 8, 111, 112])
+def test_survey_on_repeat_rows_at_the_cap(cap):
+    # ON_REPEAT rows come from the AT_ONE kernel plus the step 1 -> 4;
+    # 27 reaches 1 at step 111, so it repeats within cap 112 but not 111.
+    result = collatz.survey(1, 200, collatz.StopRule.on_repeat(cap))
+    assert_rows_exact(result, range(len(result)))
+
+
+def test_survey_on_repeat_window_at_the_int64_input_limit():
+    hi = 1 << 62
+    result = collatz.survey(hi - 20, hi, collatz.StopRule.on_repeat())
+    assert_rows_exact(result, range(len(result)))
+    assert result.big_peaks
