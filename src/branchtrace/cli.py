@@ -21,6 +21,8 @@ import json
 import sys
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from . import bounds, collatz, dyncompose, randstat, rule30
 from .errors import BranchTraceError, DomainError, InconsistentTrace, ResourceError
 
@@ -206,20 +208,30 @@ def _initial_row(args) -> rule30.Row:
     return rule30.random_row(args.width, args.seed)
 
 
-def _pbm_text(grid: rule30.Grid) -> str:
-    final_width = grid.rows[-1].width
-    lines = ["P1", f"{final_width} {grid.height}"]
-    for row in grid.rows:
-        pad = (final_width - row.width) // 2
-        cells = ["0"] * pad + list(row.to01()) + ["0"] * pad
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+# Bytes of PBM text formatted and written per block of rows.
+_PBM_BLOCK_BYTES = 1 << 16
 
 
-def _grid_center_bits(grid: rule30.Grid, mode: rule30.BoundaryMode) -> list[int]:
-    center = grid.rows[0].width // 2
-    shift = 1 if mode is rule30.BoundaryMode.EXPAND_ZERO else 0
-    return [row.cell(center + shift * t) for t, row in enumerate(grid.rows)]
+def _write_pbm(write, grid: rule30.Grid) -> None:
+    """The grid as PBM P1, formatted and written a block of rows at a time.
+
+    Rows narrower than the last one (EXPAND_ZERO) are centered on zeros.
+    Each row's cells come from one format() of its bits; numpy lays the
+    digits at even offsets between spaces and a closing newline.
+    """
+    width = grid.rows[-1].width
+    write(f"P1\n{width} {grid.height}\n")
+    template = f"0{width}b"
+    per_block = max(1, _PBM_BLOCK_BYTES // (2 * width))
+    for start in range(0, grid.height, per_block):
+        rows = grid.rows[start:start + per_block]
+        text = "".join(format(row.bits << (width - row.width) // 2, template)
+                       for row in rows)
+        block = np.full((len(rows), 2 * width), ord(" "), dtype=np.uint8)
+        block[:, ::2] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(
+            len(rows), width)
+        block[:, -1] = ord("\n")
+        write(block.tobytes().decode("ascii"))
 
 
 def _cmd_rule30(args) -> int:
@@ -232,12 +244,13 @@ def _cmd_rule30(args) -> int:
     initial = _initial_row(args)
     if args.pbm is not None:
         grid = rule30.evolve(initial, args.steps, mode)
-        _write_text(args.pbm, _pbm_text(grid))
-        column = _grid_center_bits(grid, mode)
-    else:
-        column = rule30.center_column(initial, args.steps, mode).tolist()
+        with _output(args.pbm) as write:
+            _write_pbm(write, grid)
     if args.center is not None:
-        _write_text(args.center, "".join(f"{bit}\n" for bit in column))
+        column = rule30.center_column(initial, args.steps, mode)
+        lines = np.full((len(column), 2), ord("\n"), dtype=np.uint8)
+        lines[:, 0] = column + ord("0")
+        _write_text(args.center, lines.tobytes().decode("ascii"))
     return 0
 
 

@@ -14,6 +14,8 @@ cryptanalysis, and must not be used to protect anything.
 
 from __future__ import annotations
 
+import struct
+
 from .errors import BlockLengthError, DomainError, KeyLengthError
 
 KEY_LEN = 32
@@ -24,6 +26,8 @@ ROUNDS_PER_BLOCK = 16
 G_CONSTANT = 0xA5A5A5A5A5A5A5A5
 
 _MASK = (1 << 64) - 1
+# A block, and the digest, as four little-endian 64-bit words.
+_WORDS = struct.Struct("<4Q")
 
 
 def _rotl(x: int, r: int) -> int:
@@ -87,11 +91,43 @@ def select_round(state: CompositionState) -> CompositionState:
     return round_f(state)
 
 
-def _xor_block(state: CompositionState, block: bytes) -> None:
-    state.w0 ^= int.from_bytes(block[0:8], "little")
-    state.w1 ^= int.from_bytes(block[8:16], "little")
-    state.w2 ^= int.from_bytes(block[16:24], "little")
-    state.w3 ^= int.from_bytes(block[24:32], "little")
+def _drive(words, blocks, forced=None):
+    """Run 16 rounds per block from ``words``; the one round driver.
+
+    Each block is four little-endian words XORed into the state before
+    its rounds. With ``forced`` None, lsb(w0) selects every round as in
+    :func:`select_round`; otherwise ``forced`` is an already validated
+    L/R sequence consumed in order. This is round_f and round_g inlined
+    on local variables. Returns the final words and the symbols run.
+    """
+    w0, w1, w2, w3 = words
+    mask, constant = _MASK, G_CONSTANT
+    picks = None if forced is None else iter(forced)
+    schedule = bytearray()
+    emit = schedule.append
+    for b0, b1, b2, b3 in blocks:
+        w0 ^= b0
+        w1 ^= b1
+        w2 ^= b2
+        w3 ^= b3
+        for _ in range(ROUNDS_PER_BLOCK):
+            if w0 & 1 if picks is None else next(picks) == "R":
+                emit(82)  # R: round g
+                w0 ^= constant
+                w1 = (w1 + w3) & mask
+                x = w2 ^ w1
+                w2 = ((x << 7) & mask) | (x >> 57)
+                x = (w3 + w0) & mask
+                w3 = ((x << 41) & mask) | (x >> 23)
+            else:
+                emit(76)  # L: round f
+                w0 = (w0 + w1) & mask
+                x = w3 ^ w0
+                w3 = ((x << 13) & mask) | (x >> 51)
+                w2 = (w2 + w3) & mask
+                x = w1 ^ w2
+                w1 = ((x << 29) & mask) | (x >> 35)
+    return (w0, w1, w2, w3), schedule.decode("ascii")
 
 
 def absorb(state: CompositionState, block: bytes) -> CompositionState:
@@ -100,23 +136,22 @@ def absorb(state: CompositionState, block: bytes) -> CompositionState:
         raise BlockLengthError(
             f"block must be exactly {BLOCK_LEN} bytes, got {len(block)}"
         )
-    _xor_block(state, block)
-    for _ in range(ROUNDS_PER_BLOCK):
-        select_round(state)
+    words, schedule = _drive(state.words(), [_WORDS.unpack(bytes(block))])
+    state.w0, state.w1, state.w2, state.w3 = words
+    state.trace.extend(schedule)
     state.absorbed_bytes += BLOCK_LEN
     return state
 
 
-def _padded_blocks(message: bytes) -> list[bytes]:
-    """Message blocks: 0x80-terminated padding plus a final length block.
+def _padded(message: bytes) -> bytes:
+    """The message with 0x80-terminated padding plus a final length block.
 
     The length block is 16 zero bytes followed by the original message
     bit length as a little-endian 128-bit integer.
     """
     padded = bytes(message) + b"\x80"
     padded += b"\x00" * (-len(padded) % BLOCK_LEN)
-    padded += b"\x00" * 16 + (8 * len(message)).to_bytes(16, "little")
-    return [padded[i : i + BLOCK_LEN] for i in range(0, len(padded), BLOCK_LEN)]
+    return padded + b"\x00" * 16 + (8 * len(message)).to_bytes(16, "little")
 
 
 def trace_length(message_len: int) -> int:
@@ -130,16 +165,11 @@ def trace_length(message_len: int) -> int:
     return ROUNDS_PER_BLOCK * blocks
 
 
-def _serialize(state: CompositionState) -> bytes:
-    return b"".join(w.to_bytes(8, "little") for w in state.words())
-
-
 def digest(key: bytes, message: bytes) -> tuple[bytes, str]:
     """32-byte keyed digest of the message plus its full branch trace."""
     state = init(key)
-    for block in _padded_blocks(message):
-        absorb(state, block)
-    return _serialize(state), state.trace_string()
+    words, schedule = _drive(state.words(), _WORDS.iter_unpack(_padded(message)))
+    return _WORDS.pack(*words), schedule
 
 
 def replay(key: bytes, message: bytes, trace: str) -> bytes:
@@ -149,24 +179,15 @@ def replay(key: bytes, message: bytes, trace: str) -> bytes:
     composition. Fed the trace that :func:`digest` returned for the
     same (key, message), this reproduces its digest bit-exactly.
     """
-    blocks = _padded_blocks(message)
-    if len(trace) != ROUNDS_PER_BLOCK * len(blocks):
+    padded = _padded(message)
+    rounds = ROUNDS_PER_BLOCK * (len(padded) // BLOCK_LEN)
+    if len(trace) != rounds:
         raise DomainError(
-            f"trace length {len(trace)} does not match "
-            f"{ROUNDS_PER_BLOCK * len(blocks)} scheduled rounds"
+            f"trace length {len(trace)} does not match {rounds} scheduled rounds"
         )
     state = init(key)
-    pos = 0
-    for block in blocks:
-        _xor_block(state, block)
-        for _ in range(ROUNDS_PER_BLOCK):
-            sym = trace[pos]
-            pos += 1
-            if sym == "L":
-                round_f(state)
-            elif sym == "R":
-                round_g(state)
-            else:
-                raise DomainError(f"invalid branch symbol {sym!r}")
-        state.absorbed_bytes += BLOCK_LEN
-    return _serialize(state)
+    if not {"L", "R"}.issuperset(trace):
+        bad = next(sym for sym in trace if sym != "L" and sym != "R")
+        raise DomainError(f"invalid branch symbol {bad!r}")
+    words, _ = _drive(state.words(), _WORDS.iter_unpack(padded), trace)
+    return _WORDS.pack(*words)

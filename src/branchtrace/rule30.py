@@ -149,6 +149,10 @@ def evolve(initial: Row, steps: int, mode: BoundaryMode) -> Grid:
     return Grid(tuple(rows), mode)
 
 
+# Steps between trims of an EXPAND_ZERO row to the tracked site's light cone.
+_TRIM_EVERY = 32
+
+
 def center_column(initial: Row, steps: int, mode: BoundaryMode) -> np.ndarray:
     """Bits at the initial center cell's site for generations 0..steps.
 
@@ -158,15 +162,34 @@ def center_column(initial: Row, steps: int, mode: BoundaryMode) -> np.ndarray:
     grows on the left. Rows are not retained, so long columns are cheap.
     """
     _check_caps(initial, steps, mode)
-    center = initial.width // 2
-    out = np.empty(steps + 1, dtype=np.uint8)
     bits, width = initial.bits, initial.width
-    for t in range(steps + 1):
-        if t > 0:
-            bits, width = _step_bits(bits, width, mode)
-        index = center if mode is BoundaryMode.WRAP else center + t
-        out[t] = (bits >> (width - 1 - index)) & 1
-    return out
+    pos = width - 1 - width // 2  # bit position of the tracked site
+    out = bytearray([(bits >> pos) & 1])
+    emit = out.append
+    if mode is BoundaryMode.WRAP:
+        mask, top = (1 << width) - 1, width - 1
+        for _ in range(steps):
+            left = (bits >> 1) | ((bits & 1) << top)
+            right = ((bits << 1) | (bits >> top)) & mask
+            bits = left ^ (bits | right)
+            emit((bits >> pos) & 1)
+    else:
+        # The _step_bits update with the row kept anchored at bit 0: new
+        # bit q reads old bits q, q - 1 and q - 2, so the site rises one
+        # position per step. With r steps left only bits within r of the
+        # site can still reach it; the trim drops the rest. Zeros shifted
+        # in below corrupt two more low bits per step, as fast as the
+        # cone's lower edge rises, so they never reach it.
+        for t in range(1, steps + 1):
+            bits ^= (bits << 1) | (bits << 2)
+            pos += 1
+            if t % _TRIM_EVERY == 0:
+                r = steps - t
+                low = max(pos - r, 0)
+                pos -= low
+                bits = (bits >> low) & ((1 << (pos + r + 1)) - 1)
+            emit((bits >> pos) & 1)
+    return np.frombuffer(out, dtype=np.uint8)
 
 
 def random_row(width: int, seed: int) -> Row:

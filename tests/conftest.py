@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,3 +18,16 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 @pytest.fixture
 def golden_dir() -> pathlib.Path:
     return GOLDEN
+
+
+@pytest.fixture
+def digest_vectors() -> list[tuple[bytes, bytes, str, str]]:
+    """(key, message, digest hex, schedule) for each golden digest vector."""
+    vectors = []
+    for line in (GOLDEN / "digest_vectors.txt").read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        key, length, value, schedule = line.split()
+        message = random.Random(f"digest-message:{length}").randbytes(int(length))
+        vectors.append((bytes.fromhex(key), message, value, schedule))
+    return vectors

@@ -141,3 +141,54 @@ def replay(n, trace):
             return ("DomainError", f"invalid branch symbol {sym!r}", None)
         peak = max(peak, cur)
     return ("ok", (cur, peak))
+
+
+def digest_blocks(message):
+    """The toy digest's padded message as a list of 32-byte blocks.
+
+    0x80 ends the message, zeros fill its last block, and a final block
+    holds 16 zero bytes and the message bit length, little-endian.
+    """
+    padded = bytes(message) + b"\x80"
+    while len(padded) % 32 != 0:
+        padded += b"\x00"
+    padded += bytes(16) + (8 * len(message)).to_bytes(16, "little")
+    return [padded[i : i + 32] for i in range(0, len(padded), 32)]
+
+
+def digest(key, message, forced=None):
+    """The keyed toy digest one round at a time on a list of four words.
+
+    Each block is XORed into the words, then 16 rounds run. Before each
+    round the low bit of w[0] picks f (L, even) or g (R, odd), unless
+    ``forced`` names the symbol for every round. Returns (the 32-byte
+    value, the schedule string).
+    """
+    mask = 2**64 - 1
+
+    def rotl(x, r):
+        return ((x << r) | (x >> (64 - r))) & mask
+
+    w = [int.from_bytes(key[i : i + 8], "little") for i in range(0, 32, 8)]
+    schedule = []
+    for block in digest_blocks(message):
+        for i in range(4):
+            w[i] ^= int.from_bytes(block[8 * i : 8 * i + 8], "little")
+        for _ in range(16):
+            if forced is not None:
+                sym = forced[len(schedule)]
+            else:
+                sym = "R" if w[0] % 2 == 1 else "L"
+            schedule.append(sym)
+            if sym == "L":
+                w[0] = (w[0] + w[1]) & mask
+                w[3] = rotl(w[3] ^ w[0], 13)
+                w[2] = (w[2] + w[3]) & mask
+                w[1] = rotl(w[1] ^ w[2], 29)
+            else:
+                w[0] = w[0] ^ 0xA5A5A5A5A5A5A5A5
+                w[1] = (w[1] + w[3]) & mask
+                w[2] = rotl(w[2] ^ w[1], 7)
+                w[3] = rotl((w[3] + w[0]) & mask, 41)
+    value = b"".join(x.to_bytes(8, "little") for x in w)
+    return value, "".join(schedule)

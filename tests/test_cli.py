@@ -220,6 +220,35 @@ def test_rule30_golden_pbm(tmp_path, golden_dir):
     assert out.read_bytes() == (golden_dir / "rule30_single_4.pbm").read_bytes()
 
 
+# Both are taller than one default PBM block (64 KiB of text).
+RULE30_GOLDENS = [
+    (("--init", "random", "--width", 129, "--seed", 7, "--steps", 300), "rule30_random_wrap"),
+    (("--init", "single", "--steps", 140), "rule30_single_expand"),
+]
+
+
+@pytest.mark.parametrize("args, golden", RULE30_GOLDENS)
+def test_rule30_pbm_and_center_match_golden_bytes(tmp_path, golden_dir, args, golden):
+    pbm, center = tmp_path / "g.pbm", tmp_path / "c.txt"
+    assert run("rule30", *args, "--pbm", pbm, "--center", center).returncode == 0
+    assert pbm.read_bytes() == (golden_dir / f"{golden}.pbm").read_bytes()
+    assert center.read_bytes() == (golden_dir / f"{golden}_center.txt").read_bytes()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2500])
+@pytest.mark.parametrize("args, golden", RULE30_GOLDENS)
+def test_rule30_pbm_blocks_split_anywhere(monkeypatch, tmp_path, golden_dir, args, golden,
+                                          block_bytes):
+    # In-process, to shrink the block: one row per block, and blocks whose
+    # row count does not divide the height.
+    monkeypatch.setattr(cli, "_PBM_BLOCK_BYTES", block_bytes)
+    pbm, center = tmp_path / "g.pbm", tmp_path / "c.txt"
+    assert cli.main(["rule30", *map(str, args), "--pbm", str(pbm)]) == 0
+    assert pbm.read_bytes() == (golden_dir / f"{golden}.pbm").read_bytes()
+    assert cli.main(["rule30", *map(str, args), "--center", str(center)]) == 0
+    assert center.read_bytes() == (golden_dir / f"{golden}_center.txt").read_bytes()
+
+
 def test_rule30_center_column_file(tmp_path):
     out = tmp_path / "c.txt"
     proc = run(
@@ -402,6 +431,14 @@ def test_digest_trace_flag(tmp_path):
     assert len(digest_line) == 64
     assert set(trace_line) <= {"L", "R"}
     assert len(trace_line) == 32
+
+
+def test_digest_vectors_through_the_cli(tmp_path, capsys, digest_vectors):
+    blob = tmp_path / "m.bin"
+    for key, message, value, schedule in digest_vectors:
+        blob.write_bytes(message)
+        assert cli.main(["digest", "--key", key.hex(), "--in", str(blob), "--emit-trace"]) == 0
+        assert capsys.readouterr().out == f"{value}\n{schedule}\n"
 
 
 @pytest.mark.parametrize("key", ["0" * 63, "0" * 65, "zz" * 32, ""])

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from branchtrace import dyncompose as dc
 from branchtrace.errors import BlockLengthError, DomainError, KeyLengthError
+
+import oracles
 
 keys = st.binary(min_size=32, max_size=32)
 messages = st.binary(min_size=0, max_size=200)
@@ -215,12 +218,74 @@ def test_replay_rejects_wrong_length_trace():
 
 
 def test_replay_rejects_bad_symbols():
-    _, trace = dc.digest(bytes(32), b"")
-    with pytest.raises(DomainError):
-        dc.replay(bytes(32), b"", "X" + trace[1:])
+    # A 100-byte message spans five blocks (80 rounds). Each case keeps
+    # the error class and message of the per-round replay loop, which
+    # stopped at the first bad symbol in schedule order.
+    key, message = bytes(range(32)), bytes(range(100))
+    value, trace = dc.digest(key, message)
+    assert len(trace) == 80
+    cases = [
+        (trace + "L", "trace length 81 does not match 80 scheduled rounds"),
+        (trace[:-1], "trace length 79 does not match 80 scheduled rounds"),
+        ("X" + trace[1:], "invalid branch symbol 'X'"),
+        (trace[:40] + "X" + trace[41:], "invalid branch symbol 'X'"),
+        (trace[:-1] + "X", "invalid branch symbol 'X'"),
+        (trace[:7] + "l" + trace[8:], "invalid branch symbol 'l'"),
+        (trace[:3] + "Y" + trace[4:-1] + "X", "invalid branch symbol 'Y'"),
+        (list(trace[:-1]) + [None], "invalid branch symbol None"),
+    ]
+    for bad, message_text in cases:
+        with pytest.raises(DomainError) as err:
+            dc.replay(key, message, bad)
+        assert str(err.value) == message_text
+    # A list of symbols is accepted and forces the same schedule.
+    assert dc.replay(key, message, list(trace)) == value
 
 
 def test_replay_with_wrong_schedule_diverges():
     value, trace = dc.digest(bytes(32), b"")
     flipped = ("R" if trace[0] == "L" else "L") + trace[1:]
     assert dc.replay(bytes(32), b"", flipped) != value
+
+
+# ------------------------------------------- reference round by round
+
+VECTOR_KEYS = [bytes(32)] + [random.Random(f"key:{i}").randbytes(32) for i in (1, 2)]
+VECTOR_LENGTHS = [0, 1, 31, 32, 33, 63, 64, 65, 1024]
+
+
+@pytest.mark.parametrize("length", VECTOR_LENGTHS)
+@pytest.mark.parametrize("key", VECTOR_KEYS, ids=["zero", "seeded1", "seeded2"])
+def test_digest_replay_absorb_match_oracle(key, length):
+    message = random.Random(length).randbytes(length)
+    value, schedule = oracles.digest(key, message)
+    assert dc.digest(key, message) == (value, schedule)
+    assert dc.replay(key, message, schedule) == value
+    state = dc.init(key)
+    for block in oracles.digest_blocks(message):
+        dc.absorb(state, block)
+    assert b"".join(w.to_bytes(8, "little") for w in state.words()) == value
+    assert state.trace_string() == schedule
+    assert state.absorbed_bytes == 32 * len(oracles.digest_blocks(message))
+
+
+@pytest.mark.parametrize("length", [0, 33, 1024])
+def test_replay_follows_schedules_digest_never_selects(length):
+    # g sets lsb(w0) to 0 within a block, so a selected schedule has no RR
+    # inside a block; a forced one may.
+    key = VECTOR_KEYS[1]
+    message = random.Random(length).randbytes(length)
+    rounds = dc.trace_length(length)
+    rng = random.Random(f"forced:{length}")
+    mixed = "".join(rng.choice("LR") for _ in range(rounds))
+    assert "RR" in mixed[:16]
+    for forced in ("L" * rounds, "R" * rounds, mixed):
+        value, schedule = oracles.digest(key, message, forced)
+        assert schedule == forced
+        assert dc.replay(key, message, forced) == value
+
+
+def test_digest_vectors_golden(digest_vectors):
+    for key, message, value, schedule in digest_vectors:
+        assert dc.digest(key, message) == (bytes.fromhex(value), schedule)
+        assert dc.replay(key, message, schedule).hex() == value

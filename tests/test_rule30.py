@@ -68,16 +68,27 @@ def test_center_column_first_bits():
     assert col.tolist() == [1, 1, 0, 1]
 
 
+# Step counts around the interval of the EXPAND_ZERO light-cone trim.
+_K = rule30._TRIM_EVERY
+CENTER_STEPS = (0, 1, 2, 12, _K - 1, _K, _K + 1, 2 * _K + 1)
+
+
 @pytest.mark.parametrize("mode", [BoundaryMode.WRAP, BoundaryMode.EXPAND_ZERO])
 def test_center_column_matches_grid(mode):
-    initial = rule30.random_row(9, 3) if mode is BoundaryMode.WRAP else Row.single(9)
-    steps = 12
-    col = rule30.center_column(initial, steps, mode)
-    grid = rule30.evolve(initial, steps, mode)
-    center = initial.width // 2
-    shift = 1 if mode is BoundaryMode.EXPAND_ZERO else 0
-    expected = [row.cell(center + shift * t) for t, row in enumerate(grid.rows)]
-    assert col.tolist() == expected
+    wrap = mode is BoundaryMode.WRAP
+    if wrap:
+        initials = [rule30.random_row(w, s) for w in (1, 2, 3, 9, 1024) for s in (3, 4)]
+    else:
+        initials = [Row.single(), Row.single(9)] + [
+            rule30.random_row(w, s) for w in (1, 2, 3, 64, 301) for s in (3, 4)]
+    for initial in initials:
+        rows = oracles.automaton_run(as_cells(initial), max(CENTER_STEPS), wrap)
+        center = initial.width // 2
+        expected = [row[center + (0 if wrap else t)] for t, row in enumerate(rows)]
+        for steps in CENTER_STEPS:
+            col = rule30.center_column(initial, steps, mode)
+            assert col.dtype == np.uint8
+            assert col.tolist() == expected[: steps + 1], (initial, steps)
 
 
 def test_center_column_even_width_uses_right_middle():
