@@ -30,8 +30,6 @@ RANGE_CAP = collatz.RANGE_CAP
 MAX_LABEL_DEPTH = 20
 
 _FG_TO_LR = str.maketrans("fg", "LR")
-# Exact bit-length lookup: count of powers of two <= n.
-_POW2 = np.array([1 << k for k in range(63)], dtype=np.int64)
 
 
 def description_bits(n: int) -> int:
@@ -125,12 +123,12 @@ def bound_report(lo: int, hi: int,
     reached = result.stop_codes == 0
     capped = tuple(int(i) + lo for i in np.nonzero(~reached)[0])
 
-    if hi <= (1 << 62):
-        ns = np.arange(lo, hi + 1, dtype=np.int64)[reached]
-        bits = np.searchsorted(_POW2, ns, side="right").astype(np.int64)
-    else:
-        ns = np.array([lo + int(i) for i in np.nonzero(reached)[0]], dtype=object)
-        bits = np.array([int(v).bit_length() for v in ns], dtype=np.int64)
+    ns = np.arange(lo, hi + 1, dtype=np.int64 if hi <= (1 << 62) else object)[reached]
+    # b(n) = k on each power-of-two run [2^(k-1), 2^k) of the range.
+    first, last = lo.bit_length(), hi.bit_length()
+    edges = [lo, *(1 << k for k in range(first, last)), hi + 1]
+    runs = [end - start for start, end in zip(edges, edges[1:])]
+    bits = np.repeat(np.arange(first, last + 1, dtype=np.int64), runs)[reached]
     r_symbols = result.steps[reached]
     l_count = result.l_count[reached]
 

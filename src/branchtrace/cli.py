@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import bounds, collatz, dyncompose, randstat, rule30
-from .errors import BranchTraceError, DomainError, InconsistentTrace, ResourceError
+from .errors import BranchTraceError, InconsistentTrace
 
 
 class _CliError(Exception):
@@ -423,9 +423,6 @@ def main(argv: list[str] | None = None) -> int:
         return err.code
     except InconsistentTrace as err:
         print(f"error: inconsistent trace: {err}", file=sys.stderr)
-        return 2
-    except (DomainError, ResourceError) as err:
-        print(f"error: {err}", file=sys.stderr)
         return 2
     except BranchTraceError as err:
         print(f"error: {err}", file=sys.stderr)

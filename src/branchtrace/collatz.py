@@ -240,6 +240,18 @@ def _walk_repeat(n: int, budget: int, text: bool = False):
     return steps, peak, halves, cur, "".join(pieces) if text else None, 2
 
 
+def _exact(n: int, rule: StopRule, text: bool = False):
+    """Exact steps from ``n`` until ``rule`` stops them.
+
+    Returns (steps, peak, halvings, final value, branch text or None,
+    stop code): 0 at 1, 1 for a repeat, 2 at the cap.
+    """
+    if rule.mode is StopMode.ON_REPEAT:
+        return _walk_repeat(n, rule.max_steps, text)
+    steps, peak, halves, cur, symbols = _walk(n, rule.max_steps, text=text)
+    return steps, peak, halves, cur, symbols, 0 if cur == 1 else 2
+
+
 def trace(n: int, rule: StopRule | None = None) -> TraceRecord:
     """Iterate from ``n`` until the stop rule fires or the step cap hits.
 
@@ -248,13 +260,7 @@ def trace(n: int, rule: StopRule | None = None) -> TraceRecord:
     the current value has already been visited in this trajectory.
     """
     _require_positive(n)
-    if rule is None:
-        rule = StopRule()
-    if rule.mode is StopMode.AT_ONE:
-        steps, peak, _, cur, symbols = _walk(n, rule.max_steps, text=True)
-        code = 0 if cur == 1 else 2
-    else:
-        steps, peak, _, cur, symbols, code = _walk_repeat(n, rule.max_steps, text=True)
+    steps, peak, _, cur, symbols, code = _exact(n, rule or StopRule(), True)
     return TraceRecord(
         n=n,
         trace=symbols,
@@ -330,34 +336,18 @@ def replay(n: int, trace: str) -> tuple[int, int]:
     """
     _require_positive(n)
     _, peak, _, cur, text = _walk(n, len(trace), 0, True)
-    if text == trace:
+    # ``trace`` may also be a list of symbols.
+    if text == trace or list(text) == list(trace):
         return cur, peak
-    return _replay_symbols(n, trace)
-
-
-def _replay_symbols(n: int, trace: str) -> tuple[int, int]:
-    """:func:`replay` one symbol at a time, failing at the first bad one."""
-    cur = n
-    peak = n
-    for index, sym in enumerate(trace):
-        odd = cur & 1
-        if sym == L:
-            if odd:
-                raise InconsistentTrace(
-                    f"step {index}: L branch taken at odd value {cur}", index
-                )
-            cur >>= 1
-        elif sym == R:
-            if not odd:
-                raise InconsistentTrace(
-                    f"step {index}: R branch taken at even value {cur}", index
-                )
-            cur = 3 * cur + 1
-        else:
-            raise DomainError(f"invalid branch symbol {sym!r}")
-        if cur > peak:
-            peak = cur
-    return cur, peak
+    # The walk's text is the only one n admits, so the first symbol that
+    # differs from it is the first bad one.
+    index = next(i for i, sym in enumerate(trace) if sym != text[i])
+    sym = trace[index]
+    if sym not in (L, R):
+        raise DomainError(f"invalid branch symbol {sym!r}")
+    parity = "odd" if sym == L else "even"
+    value = _walk(n, index, 0)[3]
+    raise InconsistentTrace(f"step {index}: {sym} branch taken at {parity} value {value}", index)
 
 
 _REASON_CODES = (
@@ -372,9 +362,10 @@ _REASON_VALUES = np.array([reason.value for reason in _REASON_CODES], dtype=obje
 class SurveyResult:
     """Columnar result of :func:`survey` over a contiguous range.
 
-    Rows are in range order. Peaks that overflow int64 (possible only
-    via the exact fallback path) are kept sparsely in ``big_peaks``;
-    their entries in ``peaks`` are only placeholders.
+    Rows are in range order. ``peaks`` holds every peak clipped to
+    int64: a row whose peak tops int64 (a big row) reads 2^63 - 1 there,
+    which no other row can hold (see :func:`_survey_chunk`), and its
+    exact peak is kept sparsely in ``big_peaks``.
     """
 
     lo: int
@@ -390,8 +381,7 @@ class SurveyResult:
         return self.hi - self.lo + 1
 
     def peak_of(self, offset: int) -> int:
-        big = self.big_peaks.get(offset)
-        return big if big is not None else int(self.peaks[offset])
+        return self.big_peaks.get(offset, int(self.peaks[offset]))
 
     def record(self, offset: int) -> TraceSummary:
         return TraceSummary(
@@ -433,28 +423,31 @@ class SurveyResult:
         return int(self.steps.max())
 
     def max_peak(self) -> int:
-        top = int(self.peaks.max())
-        if self.big_peaks:
-            top = max(top, max(self.big_peaks.values()))
-        return top
+        # Every big peak tops every int64 entry.
+        return max(self.big_peaks.values(), default=int(self.peaks.max()))
 
     def non_reached_count(self) -> int:
         return int(np.count_nonzero(self.stop_codes))
 
 
-def _summarize(n: int, max_steps: int, at_one: bool = True) -> tuple[int, int, int, int]:
-    """Exact (steps, peak, l_count, stop code) of the trajectory from ``n``."""
-    if at_one:
-        steps, peak, halves, cur, _ = _walk(n, max_steps)
-        return steps, peak, halves, 0 if cur == 1 else 2
-    steps, peak, halves, _, _, code = _walk_repeat(n, max_steps)
-    return steps, peak, halves, code
+def _exact_rows(lo: int, offsets, rule: StopRule, steps: np.ndarray, l_count: np.ndarray,
+                peaks: np.ndarray, codes: np.ndarray, big_peaks: dict[int, int]) -> None:
+    """Store the exact row of each offset under ``rule``, its peak
+    clipped to int64 and, for a big row, kept whole in ``big_peaks``."""
+    for offset in offsets:
+        steps[offset], peak, l_count[offset], _, _, codes[offset] = _exact(lo + offset, rule)
+        peaks[offset] = min(peak, _INT64_MAX)
+        if peak > _INT64_MAX:
+            big_peaks[offset] = peak
+        else:
+            big_peaks.pop(offset, None)
 
 
-def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarray,
+def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarray,
                   l_count: np.ndarray, peaks: np.ndarray, codes: np.ndarray,
-                  big: np.ndarray, big_peaks: dict[int, int]) -> None:
-    """Fill rows [base, stop) of the AT_ONE columns by memoized descent.
+                  big_peaks: dict[int, int]) -> None:
+    """Fill rows [base, stop) of the columns under the AT_ONE ``rule`` by
+    memoized descent.
 
     Every lane steps in lockstep until its value falls below its start
     while still in the range (its descent target) or reaches 1, so its
@@ -467,13 +460,17 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     its value is back at or below the guard, then rejoins the lockstep
     with those steps kept as a per-lane offset. If such an excursion
     tops int64 the row is big: its peak goes to ``big_peaks``, its
-    ``peaks`` entry is the first value past the guard of its first
-    excursion, and it takes no descent target. A row whose chain meets a
-    big row, or whose total exceeds ``max_steps``, is re-derived by the
-    exact stepper; a capped row holds ``max_steps`` steps, so every row
-    chained to one exceeds it.
+    ``peaks`` entry is 2^63 - 1, and it takes no descent target. No
+    other row holds 2^63 - 1: the guard is even, so an odd step from the
+    lockstep gives at most 2^63 - 4, and 2^63 - 1 is odd, so its next
+    step leaves int64 (every input takes a step). So ``peaks == 2^63 - 1``
+    marks the big rows, and the max along a chain carries the mark. A row
+    whose chain meets a big row, or whose total exceeds the cap, is
+    re-derived by the exact stepper; a capped row holds the cap in steps,
+    so every row chained to one exceeds it.
     """
-    s, lc, pk, cd, bg = (a[base:stop] for a in (steps, l_count, peaks, codes, big))
+    max_steps = rule.max_steps
+    s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
     # Offset of each row's descent target; negative for none.
     target = np.full(stop - base, -1, dtype=np.int64)
     lane = np.nonzero(pk != 1)[0]
@@ -483,10 +480,9 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     span = (cur - lo).view(np.uint64)
     halves = np.zeros(lane.size, dtype=np.int64)
     taken = 0
-    # Steps each lane took on excursions, and each row's first value past
-    # the guard; None until the first excursion, so a chunk without any
-    # runs the plain loop.
-    extra = first = None
+    # Steps each lane took on excursions; None until the first excursion,
+    # so a chunk without any runs the plain loop.
+    extra = None
     while lane.size:
         if extra is None:
             if taken >= max_steps:
@@ -504,21 +500,18 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
         if int(cur.max()) > _INT64_STEP_GUARD:
             if extra is None:
                 extra = np.zeros(lane.size, dtype=np.int64)
-                first = np.zeros(stop - base, dtype=np.int64)
             for k in np.nonzero(cur > _INT64_STEP_GUARD)[0].tolist():
-                j, value = int(lane[k]), int(cur[k])
-                if not first[j]:
-                    first[j] = value
                 walked, peak, halved, end, _ = _walk(
-                    value, max_steps - taken - int(extra[k]), _INT64_STEP_GUARD)
+                    int(cur[k]), max_steps - taken - int(extra[k]), _INT64_STEP_GUARD)
                 extra[k] += walked
                 halves[k] += halved
                 # An odd value past the guard triples past int64, so an
                 # excursion that stays within int64 only halves: its peak
                 # is its first value, which top already holds.
                 if peak > _INT64_MAX:
-                    bg[j] = True
-                    big_peaks[base + j] = max(peak, big_peaks.get(base + j, 0))
+                    row = base + int(lane[k])
+                    big_peaks[row] = max(peak, big_peaks.get(row, 0))
+                    top[k] = _INT64_MAX
                     # Only 1 stays a target: row 0 when lo = 1, unlinked below.
                     span[k] = lo == 1
                 # A lane capped inside its excursion retires at the cap
@@ -544,17 +537,13 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             if extra is not None:
                 extra = extra[keep]
 
-    if first is not None:
-        target[bg] = -1
-        pk[bg] = first[bg]
-
+    target[pk == _INT64_MAX] = -1
     chained = target >= 0
     early = np.nonzero(chained & (target < base))[0]
     t = target[early]
     s[early] += steps[t]
     lc[early] += l_count[t]
     pk[early] = np.maximum(pk[early], peaks[t])
-    bg[early] |= big[t]
     nxt = np.where(chained & (target >= base), target - base, -1)
     pending = np.nonzero(nxt >= 0)[0]
     while pending.size:
@@ -562,22 +551,11 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
         s[pending] += s[k]
         lc[pending] += lc[k]
         pk[pending] = np.maximum(pk[pending], pk[k])
-        bg[pending] |= bg[k]
         nxt[pending] = nxt[k]
         pending = pending[nxt[pending] >= 0]
 
-    for j in np.nonzero(chained & (bg | (s > max_steps)))[0].tolist():
-        n = lo + base + j
-        s[j], peak, lc[j], cd[j] = _summarize(n, max_steps)
-        bg[j] = peak > _INT64_MAX
-        if not bg[j]:
-            pk[j] = peak
-            continue
-        big_peaks[base + j] = peak
-        # The placeholder of a big row: its first value past the guard.
-        while n <= _INT64_STEP_GUARD:
-            n = 3 * n + 1 if n & 1 else n >> 1
-        pk[j] = n
+    redo = np.nonzero(chained & ((pk == _INT64_MAX) | (s > max_steps)))[0]
+    _exact_rows(lo, (base + redo).tolist(), rule, steps, l_count, peaks, codes, big_peaks)
 
 
 def _repeat_rows(lo: int, max_steps: int, steps: np.ndarray, codes: np.ndarray) -> list[int]:
@@ -622,22 +600,14 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     at_one = rule.mode is StopMode.AT_ONE
     if hi <= _INT64_INPUT_LIMIT:
         peaks = np.arange(lo, hi + 1, dtype=np.int64)
-        big = np.zeros(size, dtype=bool)
         for base in range(0, size, _CHUNK):
-            _survey_chunk(lo, base, min(base + _CHUNK, size), rule.max_steps,
-                          steps, l_count, peaks, codes, big, big_peaks)
+            _survey_chunk(lo, base, min(base + _CHUNK, size), StopRule.at_one(rule.max_steps),
+                          steps, l_count, peaks, codes, big_peaks)
         exact = [] if at_one else _repeat_rows(lo, rule.max_steps, steps, codes)
     else:
         peaks = np.zeros(size, dtype=np.int64)
         exact = range(size)
-    for offset in exact:
-        steps[offset], peak, l_count[offset], codes[offset] = _summarize(
-            lo + offset, rule.max_steps, at_one)
-        if peak > _INT64_MAX:
-            big_peaks[offset] = peak
-        else:
-            peaks[offset] = peak
-            big_peaks.pop(offset, None)
+    _exact_rows(lo, exact, rule, steps, l_count, peaks, codes, big_peaks)
 
     return SurveyResult(
         lo=lo,

@@ -223,8 +223,8 @@ def test_criterion_08_avalanche_replay_balance(capsys):
     # fails by construction of the round functions.
     assert balance_ok, (
         f"schedule L fraction {l_fraction:.5f} outside [0.45, 0.55]: "
-        "the g round forces the selector bit to zero, so R is always "
-        "followed by L and the long-run L fraction is 2/3"
+        "the g round forces the selector bit to zero, so within a block, "
+        "R is always followed by L and the long-run L fraction is 2/3"
     )
 
 

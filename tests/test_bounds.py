@@ -150,6 +150,26 @@ def test_bound_report_beyond_int64_inputs():
         assert rec.l_count == refs[rec.n].l_count
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ((1 << 40) - 3, (1 << 40) + 3),
+    ((1 << 62) - 3, 1 << 62),
+    ((1 << 62) - 3, (1 << 62) + 3),
+    ((1 << 63) - 3, (1 << 63) + 3),
+    ((1 << 70) - 3, (1 << 70) + 3),
+])
+def test_bound_report_across_power_of_two_edges(lo, hi):
+    report = bounds.bound_report(lo, hi)
+    # n stays int64 up to the survey's int64 input limit.
+    assert report.n.dtype == (np.int64 if hi <= 1 << 62 else object)
+    assert report.b_bits.dtype == np.int64
+    assert [rec.n for rec in report.records()] == list(range(lo, hi + 1))
+    for rec in report.records():
+        ref = collatz.trace(rec.n)
+        assert rec.b_bits == rec.n.bit_length()
+        assert (rec.r_symbols, rec.l_count) == (ref.steps, ref.l_count)
+    assert report.total_bits == sum(n.bit_length() for n in range(lo, hi + 1))
+
+
 @given(st.integers(min_value=1, max_value=2000), st.integers(min_value=0, max_value=30))
 def test_bound_report_rows_match_trajectories(lo, span):
     report = bounds.bound_report(lo, lo + span)

@@ -135,6 +135,20 @@ def test_replay_checks_parity():
     assert exc.value.index == 1
 
 
+def test_replay_takes_a_list_of_symbols():
+    trace = collatz.trace(27).trace
+    assert collatz.replay(27, list(trace)) == collatz.replay(27, trace)
+    for bad in ("X", None):
+        symbols = list(trace)
+        symbols[40], symbols[70] = bad, "Y"
+        with pytest.raises(DomainError, match=f"^invalid branch symbol {bad!r}$"):
+            collatz.replay(27, symbols)
+        assert outcome(collatz.replay, 27, symbols) == oracles.replay(27, symbols)
+    flipped = list(trace)
+    flipped[40] = "L" if trace[40] == "R" else "R"
+    assert outcome(collatz.replay, 27, flipped) == oracles.replay(27, flipped)
+
+
 # ------------------------------------------------ K-step block stepper
 
 
@@ -264,6 +278,7 @@ def test_survey_small_range_values():
     result = collatz.survey(1, 10)
     assert result.steps.tolist() == [0, 1, 7, 2, 5, 8, 16, 3, 19, 6]
     assert result.max_steps() == 19
+    assert result.max_peak() == 52
     assert result.non_reached_count() == 0
     rows = list(result)
     assert rows[5].n == 6 and rows[5].peak == 16 and rows[5].l_count == 6
@@ -385,6 +400,8 @@ def test_survey_window_at_the_int64_input_limit(hi):
     result = collatz.survey(hi - 40, hi)
     assert_rows_exact(result, range(len(result)))
     assert len(result.big_peaks) > 10
+    assert_big_placeholders(result)
+    assert result.max_peak() == max(result.peak_of(offset) for offset in range(len(result)))
 
 
 def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
@@ -397,7 +414,8 @@ def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
     monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
     monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
     monkeypatch.setattr(collatz, "_CHUNK", chunk)
-    for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(60)):
+    for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(60),
+                 collatz.StopRule.on_repeat(), collatz.StopRule.on_repeat(60)):
         result = collatz.survey(1, 3000, rule)
         assert_rows_exact(result, range(len(result)))
         same_chunk = set()
@@ -406,7 +424,7 @@ def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
             if peak <= guard and target - 1 in result.big_peaks:
                 same_chunk.add((target - 1) // chunk == offset // chunk)
         assert same_chunk == {True, False}
-        assert_big_placeholders(result)
+        assert_big_placeholders(result, 3 * guard)
         # Lanes that passed the guard, came back without topping the
         # int64 limit, and then descended to a row in the range.
         rejoined = [n for n in range(2, 3001) if guard < descent(n)[1] <= 3 * guard]
@@ -429,11 +447,10 @@ def excursions(n, max_steps=collatz.DEFAULT_MAX_STEPS):
         steps += 1
 
 
-def assert_big_placeholders(result):
-    """A big row's peaks entry is the first value past the guard."""
-    for offset in result.big_peaks:
-        runs, _ = excursions(result.lo + offset, result.rule.max_steps)
-        assert result.peaks[offset] == runs[0][0]
+def assert_big_placeholders(result, top=2**63 - 1):
+    """The big rows are exactly the rows whose peaks entry is 2^63 - 1."""
+    assert np.nonzero(result.peaks == top)[0].tolist() == sorted(result.big_peaks)
+    assert all(peak > top for peak in result.big_peaks.values())
 
 
 def test_survey_lanes_rejoin_after_excursions():
@@ -445,11 +462,7 @@ def test_survey_lanes_rejoin_after_excursions():
     assert_big_placeholders(result)
     runs = {offset: excursions(lo + offset)[0] for offset in range(len(result))}
     assert max(len(r) for r in runs.values()) >= 5
-    later_big = [offset for offset in result.big_peaks
-                 if runs[offset][0][1] <= collatz._INT64_MAX]
-    assert later_big
-    for offset in later_big:
-        assert result.peaks[offset] == runs[offset][0][0] < result.big_peaks[offset]
+    assert any(runs[offset][0][1] <= collatz._INT64_MAX for offset in result.big_peaks)
 
 
 @pytest.mark.parametrize("lo, cap", [((1 << 62) - 60, 4), ((1 << 62) - 60, 40),
@@ -492,3 +505,4 @@ def test_survey_on_repeat_window_at_the_int64_input_limit():
     result = collatz.survey(hi - 20, hi, collatz.StopRule.on_repeat())
     assert_rows_exact(result, range(len(result)))
     assert result.big_peaks
+    assert_big_placeholders(result)
