@@ -99,13 +99,8 @@ class BoundReport:
         return int(self.n.size)
 
     def records(self) -> Iterator[BoundRecord]:
-        for i in range(self.n.size):
-            yield BoundRecord(
-                int(self.n[i]),
-                int(self.b_bits[i]),
-                int(self.r_symbols[i]),
-                int(self.l_count[i]),
-            )
+        columns = (self.n, self.b_bits, self.r_symbols, self.l_count)
+        return map(BoundRecord, *(column.tolist() for column in columns))
 
 
 def bound_report(lo: int, hi: int,

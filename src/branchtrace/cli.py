@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -147,32 +148,77 @@ def _cmd_invert(args) -> int:
 
 # --------------------------------------------------------------- survey
 
-# Rows formatted and written per block; bounds the text held at once.
-_BLOCK = 1 << 16
+# Rows per written block; bounds the text held at once (2^16 was no faster).
+_BLOCK = 1 << 14
+_REASONS = np.array([reason.value for reason in collatz._REASON_CODES], dtype="S")
 
 
-def _write_csv(write, keys: tuple[str, ...], blocks: Iterable[tuple]) -> None:
-    template = ",".join("{}" for _ in keys) + "\n"
-    write(",".join(keys) + "\n")
-    for columns in blocks:
-        write("".join(map(template.format, *columns)))
+@functools.cache
+def _quads() -> np.ndarray:
+    """The digits of 0-9999 as uint32s of four ASCII bytes: as the lead of a
+    number (leading zeros as zero bytes, 0 as none) and, from 10^4 on, whole."""
+    digits = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+    text = (digits % 10 + 48).astype(np.uint8)
+    return np.concatenate([(digits > 0) * text, text]).view(np.uint32)[:, 0]
 
 
-def _write_json_rows(write, keys: tuple[str, ...], blocks: Iterable[tuple],
-                     indent: int) -> None:
-    """A JSON array of row objects whose closing bracket sits at ``indent``.
+def _field(column) -> np.ndarray:
+    """A block of a column as text in a uint8 matrix, one row per value and
+    zero bytes as padding. A column is a range or an int64 array of
+    non-negative ints, a uint8 array of stop codes, or a sequence of ints."""
+    if isinstance(column, range) and column[-1] <= collatz._INT64_MAX:
+        column = np.arange(column.start, column.stop, dtype=np.int64)
+    kind = getattr(column, "dtype", None)
+    if kind != np.int64:
+        text = _REASONS[column] if kind == np.uint8 else np.array([str(v) for v in column], "S")
+        return text.view(np.uint8).reshape(len(text), text.itemsize)
+    v = column.view(np.uint64)
+    quads = np.empty((len(str(int(v.max()))) + 3 >> 2, v.size), dtype=np.uint32)
+    for row in quads[::-1]:
+        q = v // 10_000
+        np.take(_quads(), v - 10_000 * q + 10_000 * np.minimum(q, 1), out=row)
+        v = q
+    text = np.ascontiguousarray(quads.T).view(np.uint8)
+    text[:, -1] |= ord("0")  # the last digit is always written: 0 prints as 0
+    return text
 
-    The fields are decimal or enum strings, which need no escaping, so
-    the text matches json.dumps(indent=2) byte for byte.
+
+def _write_rows(write, keys: tuple[str, ...], columns: tuple, indent: int | None = None,
+                big: tuple[int, dict[int, int]] | None = None) -> None:
+    """Rows of ``columns`` (see :func:`_field`) as CSV with a header line or,
+    given an ``indent``, as a JSON array of row objects closed at ``indent``.
+
+    ``big`` = (i, {row: value}) holds the values that column i's entries
+    stand in for. Each block of rows is one uint8 matrix, the fields between
+    fixed template bytes, written without its zero bytes. Fields need no
+    escaping, so the JSON matches json.dumps(indent=2) byte for byte.
     """
-    pad = " " * (indent + 2)
-    fields = ",\n".join(f'{pad}  "{key}": "{{}}"' for key in keys)
-    template = pad + "{{\n" + fields + "\n" + pad + "}}"
-    opening = "[\n"
-    for columns in blocks:
-        write(opening + ",\n".join(map(template.format, *columns)))
-        opening = ",\n"
-    write("[]" if opening == "[\n" else "\n" + " " * indent + "]")
+    if indent is None:
+        write(",".join(keys) + "\n")
+        pieces = ["", *[","] * (len(keys) - 1), "\n"]
+    else:
+        pad = " " * (indent + 2)
+        # Each row opens with ",\n"; the first one's comma becomes "[".
+        pieces = [f',\n{pad}{{\n{pad}  "{keys[0]}": "',
+                  *(f'",\n{pad}  "{key}": "' for key in keys[1:]), f'"\n{pad}}}']
+    pieces = [np.frombuffer(piece.encode("ascii"), dtype=np.uint8) for piece in pieces]
+    spliced, values = big or (0, {})
+    rows = np.array(sorted(values), dtype=np.int64)
+    for start in range(0, len(columns[0]), _BLOCK):
+        fields = [_field(column[start:start + _BLOCK]) for column in columns]
+        size = len(fields[0])
+        at = rows[slice(*np.searchsorted(rows, (start, start + size)))]
+        if at.size:
+            text = _field([values[row] for row in at.tolist()])
+            field = fields[spliced] = np.pad(fields[spliced], ((0, 0), (0, text.shape[1])))
+            field[at - start] = np.pad(text, ((0, 0), (field.shape[1] - text.shape[1], 0)))
+        parts = [pieces[0], *(part for pair in zip(fields, pieces[1:]) for part in pair)]
+        block = np.concatenate([np.broadcast_to(p, (size, p.shape[-1])) for p in parts], axis=1)
+        if start == 0 and indent is not None:
+            block[0, 0] = ord("[")
+        write(block.tobytes().translate(None, b"\0").decode("ascii"))
+    if indent is not None:
+        write("\n" + " " * indent + "]" if len(columns[0]) else "[]")
 
 
 _SURVEY_HEADER = ("n", "steps", "peak", "l_count", "stop_reason")
@@ -184,11 +230,12 @@ def _cmd_survey(args) -> int:
         # Refuse before writing a byte; every other field is no longer
         # than the inputs, which parsed.
         _decimal(max(result.big_peaks.values()))
+    columns = (range(result.lo, result.hi + 1), result.steps, result.peaks, result.l_count,
+               result.stop_codes)
     with _output(args.out) as write:
-        if args.format == "csv":
-            _write_csv(write, _SURVEY_HEADER, result.blocks(_BLOCK))
-        else:
-            _write_json_rows(write, _SURVEY_HEADER, result.blocks(_BLOCK), 0)
+        _write_rows(write, _SURVEY_HEADER, columns, None if args.format == "csv" else 0,
+                    (2, result.big_peaks))
+        if args.format == "json":
             write("\n")
     return 0
 
@@ -295,17 +342,12 @@ def _cmd_test(args) -> int:
 _BOUND_HEADER = ("n", "b_bits", "r_symbols", "l_count")
 
 
-def _bound_blocks(report: bounds.BoundReport) -> Iterator[tuple[list, ...]]:
-    columns = (report.n, report.b_bits, report.r_symbols, report.l_count)
-    for start in range(0, len(report), _BLOCK):
-        yield tuple(column[start:start + _BLOCK].tolist() for column in columns)
-
-
 def _cmd_bound(args) -> int:
     report = bounds.bound_report(args.lo, args.hi)
+    columns = (report.n, report.b_bits, report.r_symbols, report.l_count)
     with _output(args.out) as write:
         if args.format == "csv":
-            _write_csv(write, _BOUND_HEADER, _bound_blocks(report))
+            _write_rows(write, _BOUND_HEADER, columns)
             return 0
         head = json.dumps({
             "lo": str(report.lo),
@@ -319,7 +361,7 @@ def _cmd_bound(args) -> int:
         }, indent=2)
         # Reopen the object to append "records" as its last field.
         write(head[:-2] + ',\n  "records": ')
-        _write_json_rows(write, _BOUND_HEADER, _bound_blocks(report), 2)
+        _write_rows(write, _BOUND_HEADER, columns, 2)
         write("\n}\n")
     return 0
 

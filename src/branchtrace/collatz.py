@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -290,8 +290,8 @@ def _undo(trace: str, cur: int, start: int = 0) -> int:
     return cur
 
 
-def decode(trace: str, terminal: int) -> int:
-    """Walk a branch string backwards from ``terminal`` to its input.
+def decode(trace: str | Sequence[str], terminal: int) -> int:
+    """Walk a branch string, or a sequence of L/R symbols, back from ``terminal`` to its input.
 
     The last recorded symbol is undone first: an ``L`` came from the even
     predecessor ``2*current``; an ``R`` came from the odd predecessor
@@ -304,10 +304,11 @@ def decode(trace: str, terminal: int) -> int:
     ``terminal``; anything else is decided by the per-symbol walk.
     """
     _require_positive(terminal, "terminal")
-    if trace.strip(L + R):
-        for ch in trace:
-            if ch not in (L, R):
-                raise DomainError(f"invalid branch symbol {ch!r}")
+    if not isinstance(trace, str) or trace.strip(L + R):
+        for sym in trace:
+            if sym not in (L, R):
+                raise DomainError(f"invalid branch symbol {sym!r}")
+        trace = "".join(trace)
     parity = _parity(trace)
     blocks = (len(parity) - parity.endswith(R)) // _K
     head = _K * blocks + parity.count("1", 0, _K * blocks)
@@ -327,8 +328,9 @@ def decode(trace: str, terminal: int) -> int:
     return _undo(trace, terminal)
 
 
-def replay(n: int, trace: str) -> tuple[int, int]:
-    """Apply a branch string forward from ``n``; return (terminal, peak).
+def replay(n: int, trace: str | Sequence[str]) -> tuple[int, int]:
+    """Apply a branch string (or a sequence of ``L``/``R`` symbols)
+    forward from ``n``; return (terminal, peak).
 
     Raises :class:`InconsistentTrace` if a symbol disagrees with the
     parity of the current value, i.e. the string does not describe the
@@ -336,7 +338,6 @@ def replay(n: int, trace: str) -> tuple[int, int]:
     """
     _require_positive(n)
     _, peak, _, cur, text = _walk(n, len(trace), 0, True)
-    # ``trace`` may also be a list of symbols.
     if text == trace or list(text) == list(trace):
         return cur, peak
     # The walk's text is the only one n admits, so the first symbol that
@@ -350,12 +351,7 @@ def replay(n: int, trace: str) -> tuple[int, int]:
     raise InconsistentTrace(f"step {index}: {sym} branch taken at {parity} value {value}", index)
 
 
-_REASON_CODES = (
-    StopReason.REACHED_ONE,
-    StopReason.REPEAT_DETECTED,
-    StopReason.STEP_CAP_EXCEEDED,
-)
-_REASON_VALUES = np.array([reason.value for reason in _REASON_CODES], dtype=object)
+_REASON_CODES = tuple(StopReason)  # a stop code is its reason's position
 
 
 @dataclass
@@ -395,29 +391,6 @@ class SurveyResult:
     def __iter__(self) -> Iterator[TraceSummary]:
         for offset in range(len(self)):
             yield self.record(offset)
-
-    def blocks(self, size: int) -> Iterator[tuple[range, list, list, list, list]]:
-        """Rows in runs of ``size`` as Python columns.
-
-        Each block is (n, steps, peak, l_count, stop reason value), with
-        big peaks already merged into the peak column.
-        """
-        big = sorted(self.big_peaks.items())
-        k = 0
-        for start in range(0, len(self), size):
-            stop = min(start + size, len(self))
-            peaks = self.peaks[start:stop].tolist()
-            while k < len(big) and big[k][0] < stop:
-                offset, peak = big[k]
-                peaks[offset - start] = peak
-                k += 1
-            yield (
-                range(self.lo + start, self.lo + stop),
-                self.steps[start:stop].tolist(),
-                peaks,
-                self.l_count[start:stop].tolist(),
-                _REASON_VALUES[self.stop_codes[start:stop]].tolist(),
-            )
 
     def max_steps(self) -> int:
         return int(self.steps.max())

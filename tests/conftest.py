@@ -1,3 +1,4 @@
+import os
 import pathlib
 import random
 
@@ -13,6 +14,11 @@ settings.register_profile(
 settings.load_profile("repo")
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# Subprocesses (`python -m branchtrace`, the demos) import the package
+# from this checkout, as the tests themselves do through `pythonpath`.
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -10,9 +10,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from branchtrace import cli, collatz
+from branchtrace import bounds, cli, collatz
 
 CMD = [sys.executable, "-m", "branchtrace"]
 
@@ -181,18 +182,97 @@ def test_row_writers_match_golden_bytes(tmp_path, golden_dir, args, golden):
 def test_json_row_writer_lays_out_like_json_dumps(rows, indent):
     # In-process, because no CLI range yields an empty "records" list.
     records = [{"n": str(n), "b_bits": str(n.bit_length())} for n in range(1, rows + 1)]
-    blocks = [
-        ([r["n"] for r in part], [r["b_bits"] for r in part])
-        for part in (records[:1], records[1:]) if part
-    ]
+    columns = tuple(np.array([int(r[key]) for r in records], dtype=np.int64)
+                    for key in ("n", "b_bits"))
     out = io.StringIO()
-    cli._write_json_rows(out.write, ("n", "b_bits"), blocks, indent)
+    cli._write_rows(out.write, ("n", "b_bits"), columns, indent)
     if indent == 0:
         want = json.dumps(records, indent=2)
     else:
         want = json.dumps({"records": records}, indent=2)
         want = want[len('{\n  "records": '):-len("\n}")]
     assert out.getvalue() == want
+
+
+def _reference_rows(keys, rows, indent):
+    """The writer's text built from str() and json.dumps of the same rows."""
+    records = [dict(zip(keys, map(str, row))) for row in rows]
+    if indent is None:
+        return "".join(",".join(line) + "\n" for line in [keys, *map(dict.values, records)])
+    if indent == 0:
+        return json.dumps(records, indent=2)
+    return json.dumps({"records": records}, indent=2)[len('{\n  "records": '):-len("\n}")]
+
+
+def _survey_case(result):
+    columns = (range(result.lo, result.hi + 1), result.steps, result.peaks, result.l_count,
+               result.stop_codes)
+    rows = [(r.n, r.steps, r.peak, r.l_count, r.stop_reason.value) for r in result]
+    return cli._SURVEY_HEADER, columns, (2, result.big_peaks), rows
+
+
+def _bound_case(report):
+    columns = (report.n, report.b_bits, report.r_symbols, report.l_count)
+    return cli._BOUND_HEADER, columns, (0, {}), list(report.records())
+
+
+# Every decimal width edge: 0, 9/10, 99/100, ..., 10^18 - 1/10^18, 2^63 - 1.
+_WIDTH_EDGES = [0, *(v for k in range(1, 19) for v in (10**k - 1, 10**k)), 2**63 - 1]
+# Rows standing in for peaks past int64: the first and last row of blocks
+# of 7 and of 64 rows.
+_BIG = {0: 2**63, 6: 2**64 + 1, 7: 3**45, 13: 10**30, 19: 2**63 + 2**62}
+
+
+def _big_case():
+    peaks = np.arange(20, dtype=np.int64) * 999
+    peaks[list(_BIG)] = 2**63 - 1
+    columns = (range(1, 21), np.arange(20, dtype=np.int64), peaks,
+               np.full(20, 10, dtype=np.int64), np.arange(20, dtype=np.uint8) % 3)
+    reasons = [reason.value for reason in collatz.StopReason]
+    rows = [(i + 1, i, _BIG.get(i, i * 999), 10, reasons[i % 3]) for i in range(20)]
+    return cli._SURVEY_HEADER, columns, (2, _BIG), rows
+
+
+_ROW_CASES = {
+    "width edges": lambda: (("v", "w"), (np.array(_WIDTH_EDGES), np.array(_WIDTH_EDGES[::-1])),
+                            (0, {}), list(zip(_WIDTH_EDGES, _WIDTH_EDGES[::-1]))),
+    "big peaks at block edges": _big_case,
+    "one row": lambda: _survey_case(collatz.survey(27, 27)),
+    "repeat and cap rows": lambda: _survey_case(collatz.survey(1, 30,
+                                                               collatz.StopRule.on_repeat(15))),
+    "survey across 2^63": lambda: _survey_case(collatz.survey(2**63 - 9, 2**63 + 9)),
+    "survey at 2^64": lambda: _survey_case(collatz.survey(2**64, 2**64 + 9)),
+    "bound across 2^63": lambda: _bound_case(bounds.bound_report(2**63 - 9, 2**63 + 9)),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, cli._BLOCK])
+@pytest.mark.parametrize("indent", [None, 0, 2])
+@pytest.mark.parametrize("case", list(_ROW_CASES))
+def test_row_writer_matches_str_and_json_dumps(monkeypatch, case, indent, block):
+    keys, columns, big, rows = _ROW_CASES[case]()
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    out = io.StringIO()
+    cli._write_rows(out.write, keys, columns, indent, big)
+    assert out.getvalue() == _reference_rows(keys, rows, indent)
+
+
+@pytest.mark.parametrize("args, case", [
+    (("survey", 2**64, 2**64 + 9), "survey at 2^64"),
+    (("bound", 2**63 - 9, 2**63 + 9), "bound across 2^63"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_rows_past_int64_match_str(tmp_path, args, case, fmt):
+    # In-process: the columns the commands pass, n beyond int64 included.
+    out = tmp_path / "rows"
+    assert cli.main([*map(str, args), "--format", fmt, "--out", str(out)]) == 0
+    keys, _, _, rows = _ROW_CASES[case]()
+    if fmt == "csv":
+        assert out.read_text() == _reference_rows(keys, rows, None)
+    else:
+        doc = json.loads(out.read_text())
+        assert (doc if args[0] == "survey" else doc["records"]) == json.loads(
+            _reference_rows(keys, rows, 0))
 
 
 @pytest.mark.parametrize("command", ["survey", "bound"])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,24 @@ def test_replay_takes_a_list_of_symbols():
     flipped = list(trace)
     flipped[40] = "L" if trace[40] == "R" else "R"
     assert outcome(collatz.replay, 27, flipped) == oracles.replay(27, flipped)
+
+
+def test_decode_takes_a_list_of_symbols():
+    assert collatz.decode(list("LRLRLLLL"), 1) == 6
+    rec = collatz.trace(27)
+    symbols = list(rec.trace)
+    assert outcome(collatz.decode, symbols, 1) == oracles.decode(symbols, 1) == ("ok", 27)
+    for bad in ("X", None, "LR"):
+        symbols = list(rec.trace)
+        symbols[40], symbols[70] = bad, "Y"
+        with pytest.raises(DomainError, match=f"^invalid branch symbol {re.escape(repr(bad))}$"):
+            collatz.decode(symbols, 1)
+        assert outcome(collatz.decode, symbols, 1) == oracles.decode(symbols, 1)
+    # An R undone from 1 has no odd predecessor.
+    symbols = list(rec.trace) + ["R"]
+    got = outcome(collatz.decode, symbols, 1)
+    assert got[0] == "InconsistentTrace" and got[2] == rec.steps
+    assert got == outcome(collatz.decode, "".join(symbols), 1) == oracles.decode(symbols, 1)
 
 
 # ------------------------------------------------ K-step block stepper

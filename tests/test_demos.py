@@ -1,6 +1,5 @@
 """Each demo runs cleanly and prints exactly its golden text."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -13,8 +12,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_output_matches_golden(demo, golden_dir):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert proc.stdout == (golden_dir / "demos" / f"{demo.stem}.txt").read_bytes()
