@@ -110,10 +110,8 @@ def bound_report(lo: int, hi: int,
         raise DomainError(f"lo must be a positive integer, got {lo!r}")
     if not isinstance(hi, int) or isinstance(hi, bool) or hi < lo:
         raise DomainError(f"hi must be an integer >= lo, got {hi!r}")
-    size = hi - lo + 1
-    if size > RANGE_CAP:
-        raise DomainError(f"range size {size} exceeds cap {RANGE_CAP}")
-
+    # collatz.survey raises ResourceError for more than RANGE_CAP inputs,
+    # before it allocates anything.
     result = collatz.survey(lo, hi, collatz.StopRule.at_one(max_steps))
     reached = result.stop_codes == 0
     capped = tuple(int(i) + lo for i in np.nonzero(~reached)[0])
@@ -143,5 +141,5 @@ def bound_report(lo: int, hi: int,
         violations=violations,
         capped=capped,
         mean_trace_len=float(r_symbols.mean()) if reached_count else 0.0,
-        log2_set_size=math.log2(size),
+        log2_set_size=math.log2(hi - lo + 1),
     )

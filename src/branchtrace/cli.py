@@ -259,17 +259,19 @@ def _initial_row(args) -> rule30.Row:
 _PBM_BLOCK_BYTES = 1 << 16
 
 
-def _write_pbm(write, grid: rule30.Grid) -> None:
+def _write_pbm(write, grid: rule30.Grid) -> np.ndarray:
     """The grid as PBM P1, formatted and written a block of rows at a time.
 
     Rows narrower than the last one (EXPAND_ZERO) are centered on zeros.
     Each row's cells come from one format() of its bits; numpy lays the
-    digits at even offsets between spaces and a closing newline.
+    digits at even offsets between spaces and a closing newline. Returns
+    the bits of column ``width // 2``, the site :func:`rule30.center_column` tracks.
     """
     width = grid.rows[-1].width
     write(f"P1\n{width} {grid.height}\n")
     template = f"0{width}b"
     per_block = max(1, _PBM_BLOCK_BYTES // (2 * width))
+    center = []
     for start in range(0, grid.height, per_block):
         rows = grid.rows[start:start + per_block]
         text = "".join(format(row.bits << (width - row.width) // 2, template)
@@ -278,7 +280,9 @@ def _write_pbm(write, grid: rule30.Grid) -> None:
         block[:, ::2] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(
             len(rows), width)
         block[:, -1] = ord("\n")
+        center.append(block[:, width // 2 * 2] - ord("0"))
         write(block.tobytes().decode("ascii"))
+    return np.concatenate(center)
 
 
 def _cmd_rule30(args) -> int:
@@ -289,12 +293,12 @@ def _cmd_rule30(args) -> int:
     mode = (rule30.BoundaryMode.WRAP if args.mode == "wrap"
             else rule30.BoundaryMode.EXPAND_ZERO)
     initial = _initial_row(args)
-    if args.pbm is not None:
-        grid = rule30.evolve(initial, args.steps, mode)
-        with _output(args.pbm) as write:
-            _write_pbm(write, grid)
-    if args.center is not None:
+    if args.pbm is None:
         column = rule30.center_column(initial, args.steps, mode)
+    else:
+        with _output(args.pbm) as write:
+            column = _write_pbm(write, rule30.evolve(initial, args.steps, mode))
+    if args.center is not None:
         lines = np.full((len(column), 2), ord("\n"), dtype=np.uint8)
         lines[:, 0] = column + ord("0")
         _write_text(args.center, lines.tobytes().decode("ascii"))

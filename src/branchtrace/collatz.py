@@ -50,6 +50,8 @@ _INT64_INPUT_LIMIT = 1 << 62
 _INT64_MAX = (1 << 63) - 1
 
 _CHUNK = 1 << 17
+_TAIL = 32  # lanes left when the survey lockstep hands each to the exact stepper
+_MERGE_EVERY = 32  # rounds between lane merges in the survey lockstep, after 2, 4 and 8
 
 # Most inputs one survey (or bound report) takes; its columns then
 # need about 0.4 GB.
@@ -416,6 +418,12 @@ def _exact_rows(lo: int, offsets, rule: StopRule, steps: np.ndarray, l_count: np
             big_peaks.pop(offset, None)
 
 
+def _keep(index, *columns):
+    """Each column at ``index``; None stays None. A list, since tuple() of a
+    generator leaves a spare tuple on CPython's free list at each call."""
+    return [None if column is None else column[index] for column in columns]
+
+
 def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarray,
                   l_count: np.ndarray, peaks: np.ndarray, codes: np.ndarray,
                   big_peaks: dict[int, int]) -> None:
@@ -429,22 +437,30 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     Rows before ``base`` are final; targets inside the chunk are resolved
     by synchronous pointer jumping.
 
-    A lane whose odd step could overflow int64 is stepped exactly until
-    its value is back at or below the guard, then rejoins the lockstep
-    with those steps kept as a per-lane offset. If such an excursion
-    tops int64 the row is big: its peak goes to ``big_peaks``, its
-    ``peaks`` entry is 2^63 - 1, and it takes no descent target. No
-    other row holds 2^63 - 1: the guard is even, so an odd step from the
-    lockstep gives at most 2^63 - 4, and 2^63 - 1 is odd, so its next
-    step leaves int64 (every input takes a step). So ``peaks == 2^63 - 1``
-    marks the big rows, and the max along a chain carries the mark. A row
-    whose chain meets a big row, or whose total exceeds the cap, is
-    re-derived by the exact stepper; a capped row holds the cap in steps,
-    so every row chained to one exceeds it.
+    Lanes at one value share their future. At rounds 2, 4, 8 and every
+    ``_MERGE_EVERY``-th, unless an eighth of the live lanes retired since
+    the last such round (as in dense ranges), only the lane of least peak
+    so far in each group steps on. The rest retire with it as target,
+    keeping steps and halvings minus its own (maybe <= 0) and their own
+    peak: it is no less than the leader's, so the max of it and the
+    leader's total is exact. With ``_TAIL`` lanes or fewer left, the
+    exact stepper walks each to 1.
+
+    An odd value past the guard would overflow int64, so its lane steps
+    exactly until back at or below the guard, keeping those steps as a
+    per-lane offset; even values halve in int64. That odd step tops
+    int64, so the row is big: its exact peak goes to ``big_peaks`` and
+    its lane's peak is 2^63 - 1 (big leaders are picked by exact peak).
+    No other row holds 2^63 - 1: the guard is even, so a lockstep odd
+    step gives at most 2^63 - 4, and 2^63 - 1 is odd, so its next step
+    leaves int64. So the max along a chain marks the big rows; the exact
+    peak is the largest ``big_peaks`` entry on the chain. Stop codes take
+    the max too: a row chained to a capped one, or whose total tops the
+    cap, is redone by the exact stepper.
     """
     max_steps = rule.max_steps
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
-    # Offset of each row's descent target; negative for none.
+    # Offset of each row's descent target or leader; negative for none.
     target = np.full(stop - base, -1, dtype=np.int64)
     lane = np.nonzero(pk != 1)[0]
     cur = pk[lane]
@@ -456,6 +472,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     # Steps each lane took on excursions; None until the first excursion,
     # so a chunk without any runs the plain loop.
     extra = None
+    checked = lane.size  # live lanes at the last merge round
     while lane.size:
         if extra is None:
             if taken >= max_steps:
@@ -466,27 +483,30 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             if capped.any():
                 j = lane[capped]
                 s[j], lc[j], pk[j], cd[j] = max_steps, halves[capped], top[capped], 2
-                keep = ~capped
-                lane, span, cur, top, halves, extra = (
-                    a[keep] for a in (lane, span, cur, top, halves, extra))
+                lane, span, cur, top, halves, extra = _keep(
+                    ~capped, lane, span, cur, top, halves, extra)
                 continue
-        if int(cur.max()) > _INT64_STEP_GUARD:
+        if lane.size <= _TAIL:
+            for k, row in enumerate(lane.tolist()):
+                before = taken + (0 if extra is None else int(extra[k]))
+                walked, peak, halved, end, _ = _walk(int(cur[k]), max_steps - before)
+                s[row], lc[row], cd[row] = before + walked, halves[k] + halved, 2 * (end > 1)
+                pk[row] = min(max(peak, int(top[k])), _INT64_MAX)
+                if pk[row] == _INT64_MAX:
+                    big_peaks[base + row] = max(peak, big_peaks.get(base + row, 0))
+            break
+        if int(cur.max()) > _INT64_STEP_GUARD and (
+                hot := np.nonzero((cur > _INT64_STEP_GUARD) & (cur & 1 == 1))[0]).size:
             if extra is None:
                 extra = np.zeros(lane.size, dtype=np.int64)
-            for k in np.nonzero(cur > _INT64_STEP_GUARD)[0].tolist():
+            for k in hot.tolist():
                 walked, peak, halved, end, _ = _walk(
                     int(cur[k]), max_steps - taken - int(extra[k]), _INT64_STEP_GUARD)
                 extra[k] += walked
                 halves[k] += halved
-                # An odd value past the guard triples past int64, so an
-                # excursion that stays within int64 only halves: its peak
-                # is its first value, which top already holds.
-                if peak > _INT64_MAX:
-                    row = base + int(lane[k])
-                    big_peaks[row] = max(peak, big_peaks.get(row, 0))
-                    top[k] = _INT64_MAX
-                    # Only 1 stays a target: row 0 when lo = 1, unlinked below.
-                    span[k] = lo == 1
+                row = base + int(lane[k])
+                big_peaks[row] = max(peak, big_peaks.get(row, 0))
+                top[k] = _INT64_MAX
                 # A lane capped inside its excursion retires at the cap
                 # check that comes next; its value is not used again.
                 cur[k] = end if end <= _INT64_STEP_GUARD else 0
@@ -505,18 +525,34 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             lc[j] = halves[down]
             pk[j] = top[down]
             target[j] = cur[down] - lo
-            keep = ~down
-            lane, span, cur, top, halves = (a[keep] for a in (lane, span, cur, top, halves))
-            if extra is not None:
-                extra = extra[keep]
+            lane, span, cur, top, halves, extra = _keep(~down, lane, span, cur, top, halves, extra)
+        if taken % _MERGE_EVERY and taken not in (2, 4, 8):
+            continue
+        if 8 * (checked - lane.size) < lane.size:
+            big = np.nonzero(top == _INT64_MAX)[0]
+            exact = [big_peaks[base + row] for row in lane[big].tolist()]
+            rank = np.zeros(lane.size, dtype=np.int64)
+            rank[big[sorted(range(big.size), key=exact.__getitem__)]] = np.arange(big.size)
+            order = np.lexsort((rank, top, cur))
+            head = np.r_[True, np.diff(cur[order]) != 0]
+            # The followers, and the leader (first in order) of each one's group.
+            f, k = order[~head], order[np.nonzero(head)[0][np.cumsum(head) - 1]][~head]
+            j = lane[f]
+            s[j] = 0 if extra is None else extra[f] - extra[k]
+            lc[j] = halves[f] - halves[k]
+            pk[j] = top[f]
+            target[j] = base + lane[k]
+            lane, span, cur, top, halves, extra = _keep(
+                order[head], lane, span, cur, top, halves, extra)
+        checked = lane.size
 
-    target[pk == _INT64_MAX] = -1
     chained = target >= 0
     early = np.nonzero(chained & (target < base))[0]
     t = target[early]
     s[early] += steps[t]
     lc[early] += l_count[t]
     pk[early] = np.maximum(pk[early], peaks[t])
+    # No stop codes from here: a chain that descends to a capped row tops the cap.
     nxt = np.where(chained & (target >= base), target - base, -1)
     pending = np.nonzero(nxt >= 0)[0]
     while pending.size:
@@ -524,10 +560,17 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
         s[pending] += s[k]
         lc[pending] += lc[k]
         pk[pending] = np.maximum(pk[pending], pk[k])
+        cd[pending] = np.maximum(cd[pending], cd[k])
         nxt[pending] = nxt[k]
         pending = pending[nxt[pending] >= 0]
 
-    redo = np.nonzero(chained & ((pk == _INT64_MAX) | (s > max_steps)))[0]
+    for row in np.nonzero(pk == _INT64_MAX)[0].tolist():
+        peak, link = 0, base + row
+        while link >= 0 and peaks[link] == _INT64_MAX:
+            peak = max(peak, big_peaks.get(link, 0))
+            link = int(target[link - base]) if link >= base else -1
+        big_peaks[base + row] = peak
+    redo = np.nonzero(chained & ((cd != 0) | (s > max_steps)))[0]
     _exact_rows(lo, (base + redo).tolist(), rule, steps, l_count, peaks, codes, big_peaks)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from branchtrace import bounds, collatz
-from branchtrace.errors import DomainError
+from branchtrace.errors import DomainError, ResourceError
 
 import oracles
 
@@ -130,7 +130,7 @@ def test_bound_report_range_validation():
         bounds.bound_report(0, 4)
     with pytest.raises(DomainError):
         bounds.bound_report(9, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(ResourceError):
         bounds.bound_report(1, bounds.RANGE_CAP + 1)
 
 

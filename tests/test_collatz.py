@@ -525,3 +525,110 @@ def test_survey_on_repeat_window_at_the_int64_input_limit():
     assert_rows_exact(result, range(len(result)))
     assert result.big_peaks
     assert_big_placeholders(result)
+
+
+# ------------------------------------------------- merged lanes and the tail
+
+
+def spy_merges(monkeypatch):
+    """Record every lane merge of the survey lockstep as (follower row,
+    leader row, follower's excursion steps minus the leader's, leader's
+    clipped peak so far); rows are offsets into the lane's chunk."""
+    merges, keep = [], collatz._keep
+
+    def spy(index, lane, span, cur, top, halves, extra):
+        if index.dtype != bool:  # a merge keeps its leaders by index
+            leader = dict(zip(cur[index].tolist(), index.tolist()))
+            for i in sorted(set(range(lane.size)) - set(index.tolist())):
+                k = leader[int(cur[i])]
+                delta = 0 if extra is None else int(extra[i] - extra[k])
+                merges.append((int(lane[i]), int(lane[k]), delta, int(top[k])))
+        return keep(index, lane, span, cur, top, halves, extra)
+
+    monkeypatch.setattr(collatz, "_keep", spy)
+    return merges
+
+
+def test_survey_followers_carry_their_own_excursion_steps(monkeypatch):
+    # Below 2^62 lanes leave the lockstep on excursions of different
+    # lengths and meet again later at one value.
+    merges = spy_merges(monkeypatch)
+    lo = (1 << 62) - 120
+    result = collatz.survey(lo, lo + 119)
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result)
+    assert any(delta != 0 for _, _, delta, _ in merges)
+
+
+def test_survey_merges_all_big_groups(monkeypatch):
+    # With the guard lowered, lanes whose clipped peaks all tie at the
+    # int64 limit meet; each group's leader must have the least exact peak.
+    guard = 2_000
+    monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
+    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    merges = spy_merges(monkeypatch)
+    for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(60),
+                 collatz.StopRule.on_repeat()):
+        merges.clear()
+        result = collatz.survey(2001, 3000, rule)
+        assert_rows_exact(result, range(len(result)))
+        assert_big_placeholders(result, 3 * guard)
+        assert any(top == 3 * guard for _, _, _, top in merges)
+
+
+@pytest.mark.parametrize("cap", [40, 100, 300])
+def test_survey_followers_of_capped_leaders(monkeypatch, cap):
+    # A follower's own step count (0 here) does not take it past the cap;
+    # its leader's stop code does.
+    merges = spy_merges(monkeypatch)
+    lo = (1 << 40) + 12345
+    result = collatz.survey(lo, lo + 199, collatz.StopRule.at_one(cap))
+    assert_rows_exact(result, range(len(result)))
+    capped = [(f, k) for f, k, delta, _ in merges
+              if delta <= 0 and result.stop_codes[k] == 2]
+    assert capped
+    assert all(result.stop_codes[f] == 2 and result.steps[f] == cap for f, _ in capped)
+
+
+@pytest.mark.parametrize("cap", [40, 60, 100])
+def test_survey_followers_short_of_capped_leaders(monkeypatch, cap):
+    # In an all-big group the leader, of least exact peak, can have spent
+    # more steps on excursions than a follower, whose chained total then
+    # falls short of the cap; the leader's stop code sends it to the exact
+    # stepper.
+    guard = 2_000
+    monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
+    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    merges = spy_merges(monkeypatch)
+    result = collatz.survey(2200, 3000, collatz.StopRule.at_one(cap))
+    assert_rows_exact(result, range(len(result)))
+    assert any(delta < 0 and result.stop_codes[k] == 2 for _, k, delta, _ in merges)
+
+
+@pytest.mark.parametrize("tail", [0, 1, 32, 256])
+@pytest.mark.parametrize("lo, hi, cap", [(1, 900, None), (1000, 1900, 60),
+                                         ((1 << 40) + 77, (1 << 40) + 777, None),
+                                         ((1 << 62) - 600, 1 << 62, 40)])
+def test_survey_tail_handoff_at_chunk_edges(monkeypatch, tail, lo, hi, cap):
+    # Chunks of 256 rows: the last lanes of each chunk go to the exact
+    # stepper (all of them at tail 256, none at 0) and rows of the next
+    # chunk descend to them.
+    monkeypatch.setattr(collatz, "_CHUNK", 256)
+    monkeypatch.setattr(collatz, "_TAIL", tail)
+    rule = collatz.StopRule.at_one(*([cap] if cap else []))
+    result = collatz.survey(lo, hi, rule)
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result)
+    if hi < 2000:
+        earlier = [offset for offset in range(256, len(result))
+                   if lo <= descent(lo + offset)[0] < lo + offset // 256 * 256]
+        assert earlier
+
+
+@pytest.mark.parametrize("cap", [None, 200, 700])
+def test_survey_on_repeat_over_a_merged_window(monkeypatch, cap):
+    merges = spy_merges(monkeypatch)
+    lo = (1 << 45) + 4321
+    result = collatz.survey(lo, lo + 299, collatz.StopRule.on_repeat(*([cap] if cap else [])))
+    assert_rows_exact(result, range(len(result)))
+    assert len(merges) > 100
