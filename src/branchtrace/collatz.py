@@ -301,9 +301,14 @@ def decode(trace: str | Sequence[str], terminal: int) -> int:
     precondition raises :class:`InconsistentTrace` carrying the forward
     index of the failing symbol.
 
-    Whole K-step blocks are undone through the inverse table, and the
-    result is kept only if a forward walk reproduces ``trace`` and
-    ``terminal``; anything else is decided by the per-symbol walk.
+    Whole K-step blocks are undone through the inverse table. If every
+    block inverts exactly, the result is the input: the value is at least
+    1 and T^K(s) < 3^r for every residue, so a remainder of 0 leaves
+    q >= 0, and T^K(2^K q + s) = 3^r q + T^K(s), with the parities of s,
+    holds for every q >= 0 (Terras, 1976). So a forward walk from the
+    result gives ``trace`` and ``terminal``, and the per-symbol walk, whose
+    inverse is unique, would give the same value. Anything else is
+    decided by the per-symbol walk.
     """
     _require_positive(terminal, "terminal")
     if not isinstance(trace, str) or trace.strip(L + R):
@@ -321,12 +326,11 @@ def decode(trace: str | Sequence[str], terminal: int) -> int:
             break
         s, mul, add = block
         q, rem = divmod(cur - add, mul)
-        if rem or q < 0:
+        if rem:
             break
         cur = (q << _K) | s
     else:
-        if _walk(cur, len(trace), 0, True)[3:] == (terminal, trace):
-            return cur
+        return cur
     return _undo(trace, terminal)
 
 
@@ -434,8 +438,24 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     while still in the range (its descent target) or reaches 1, so its
     own step count is the round it retires in. A row's totals are its
     own plus its target's: steps and halvings add, peaks take the max.
-    Rows before ``base`` are final; targets inside the chunk are resolved
-    by synchronous pointer jumping.
+    Rows before ``base`` are final. Targets inside the chunk are resolved
+    by synchronous pointer jumping over whole columns (Wyllie's list
+    ranking): each round adds every row's target's totals to its own and
+    makes the target's target its target, so chains of d links take
+    ceil(log2 d) rounds. Rows with no target in the chunk point at one
+    sentinel row past the end, which adds nothing and points at itself.
+
+    Rows whose first descent their residue mod 4 fixes never become
+    lanes; strided slices fill them in first (Terras, 1976). An even n
+    steps to n/2, and an n = 1 mod 4 to 3n + 1, (3n + 1)/2 and
+    (3n + 1)/4. No value before these is below n or 1, so when n/2, or
+    (3n + 1)/4 for 1 < n, is at least lo, it is the lockstep's first
+    in-range descent: 1 step, 1 halving and peak n, or 3 steps, 2
+    halvings and peak 3n + 1. The odd rows also need n at most the guard,
+    so that 3n + 1 fits int64, and a cap of at least 3; otherwise they
+    stay lanes. The merge test below counts them as live until their
+    round (1 or 3), so it merges in the same rounds as a lockstep that
+    stepped them.
 
     Lanes at one value share their future. At rounds 2, 4, 8 and every
     ``_MERGE_EVERY``-th, unless an eighth of the live lanes retired since
@@ -458,11 +478,21 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     the max too: a row chained to a capped one, or whose total tops the
     cap, is redone by the exact stepper.
     """
-    max_steps = rule.max_steps
+    max_steps, size, first = rule.max_steps, stop - base, lo + base
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
     # Offset of each row's descent target or leader; negative for none.
-    target = np.full(stop - base, -1, dtype=np.int64)
-    lane = np.nonzero(pk != 1)[0]
+    target = np.full(size, -1, dtype=np.int64)
+    # Pre-retired rows: even n >= 2 lo, and n = 1 mod 4 with 5 <= n <= the
+    # guard and 3n + 1 >= 4 lo (so n >= (4 lo + 1) // 3).
+    n = max(2 * lo, first)
+    even = slice(n + (n & 1) - first, size, 2)
+    n = max(5, first, (4 * lo + 1) // 3)
+    odd = slice(n + (1 - n) % 4 - first,
+                max(0, min(size, _INT64_STEP_GUARD + 1 - first)) if max_steps >= 3 else 0, 4)
+    s[even], lc[even], target[even] = 1, 1, (pk[even] >> 1) - lo
+    pk[odd] = 3 * pk[odd] + 1
+    s[odd], lc[odd], target[odd] = 3, 2, (pk[odd] >> 2) - lo
+    lane = np.nonzero((target < 0) & (pk != 1))[0]
     cur = pk[lane]
     top = cur.copy()
     # lo <= cur < start  <=>  (cur - lo) < (start - lo), compared unsigned.
@@ -472,7 +502,10 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     # Steps each lane took on excursions; None until the first excursion,
     # so a chunk without any runs the plain loop.
     extra = None
-    checked = lane.size  # live lanes at the last merge round
+    # Live lanes at the last merge round, counting the pre-retired ones
+    # that the lockstep would hold until their round (1 or 3).
+    held = len(range(size)[odd])
+    checked = lane.size + len(range(size)[even]) + held
     while lane.size:
         if extra is None:
             if taken >= max_steps:
@@ -528,7 +561,8 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             lane, span, cur, top, halves, extra = _keep(~down, lane, span, cur, top, halves, extra)
         if taken % _MERGE_EVERY and taken not in (2, 4, 8):
             continue
-        if 8 * (checked - lane.size) < lane.size:
+        held *= taken < 3
+        if 8 * (checked - lane.size - held) < lane.size + held:
             big = np.nonzero(top == _INT64_MAX)[0]
             exact = [big_peaks[base + row] for row in lane[big].tolist()]
             rank = np.zeros(lane.size, dtype=np.int64)
@@ -544,7 +578,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             target[j] = base + lane[k]
             lane, span, cur, top, halves, extra = _keep(
                 order[head], lane, span, cur, top, halves, extra)
-        checked = lane.size
+        checked = lane.size + held
 
     chained = target >= 0
     early = np.nonzero(chained & (target < base))[0]
@@ -553,16 +587,14 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     lc[early] += l_count[t]
     pk[early] = np.maximum(pk[early], peaks[t])
     # No stop codes from here: a chain that descends to a capped row tops the cap.
-    nxt = np.where(chained & (target >= base), target - base, -1)
-    pending = np.nonzero(nxt >= 0)[0]
-    while pending.size:
-        k = nxt[pending]
-        s[pending] += s[k]
-        lc[pending] += lc[k]
-        pk[pending] = np.maximum(pk[pending], pk[k])
-        cd[pending] = np.maximum(cd[pending], cd[k])
-        nxt[pending] = nxt[k]
-        pending = pending[nxt[pending] >= 0]
+    # Row ``size`` is the sentinel: nothing to add, and itself as target.
+    nxt = np.append(np.where(chained & (target >= base), target - base, size), size)
+    ranked = [np.append(a, 0) for a in (s, lc, pk, cd)]
+    while (nxt[:size] != size).any():
+        for column, op in zip(ranked, (np.add, np.add, np.maximum, np.maximum)):
+            op(column, column.take(nxt), out=column)
+        nxt = nxt.take(nxt)
+    s[:], lc[:], pk[:], cd[:] = (column[:size] for column in ranked)
 
     for row in np.nonzero(pk == _INT64_MAX)[0].tolist():
         peak, link = 0, base + row

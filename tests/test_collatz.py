@@ -186,6 +186,8 @@ def test_block_table_invariants():
             peak = max(peak, cur)
         assert cur == mul * q + add
         assert max(n, a * q + b) == peak
+        # So decode's exact block inverse of a value >= 1 never has q < 0.
+        assert add < mul
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
@@ -259,6 +261,29 @@ def test_wide_decode_and_replay_fail_like_the_per_symbol_oracles(seed):
     n = random.Random(seed).getrandbits(256) | (1 << 255)
     rec = collatz.trace(n)
     assert_fails_like_the_oracles(n, rec.trace, rec.terminal)
+
+
+def forward(n, steps, off):
+    """The first ``steps`` symbols of n's trajectory and the value after
+    them plus ``off`` (at least 1): a consistent pair at ``off`` 0."""
+    _, _, _, cur, text = collatz._walk(n, steps, 0, True)
+    return text, max(1, cur + off)
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    st.tuples(st.lists(st.sampled_from(["L", "RL"]), max_size=120).map("".join),
+              st.integers(min_value=1, max_value=1 << 80)),
+    st.builds(forward, st.integers(min_value=1, max_value=1 << 300),
+              st.integers(min_value=0, max_value=400), st.integers(min_value=-3, max_value=3))),
+    st.booleans())
+def test_decode_matches_the_per_symbol_oracle_on_fuzzed_traces(case, trailing_r):
+    # L and RL tokens, a trailing R, random terminals and terminals off by
+    # a few from a real trajectory's: the block inverse returns without a
+    # forward check, so every outcome must still be the oracle's.
+    trace, terminal = case
+    trace += "R" * trailing_r
+    assert outcome(collatz.decode, trace, terminal) == oracles.decode(trace, terminal)
 
 
 # The range below the block threshold, plus big inputs that take the
@@ -632,3 +657,86 @@ def test_survey_on_repeat_over_a_merged_window(monkeypatch, cap):
     result = collatz.survey(lo, lo + 299, collatz.StopRule.on_repeat(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
     assert len(merges) > 100
+
+
+# -------------------------------------------- rows the residue mod 4 retires
+
+
+def pre_retired(n, lo, cap):
+    """Whether the survey fills row n from n mod 4 before the lockstep."""
+    if n % 2 == 0:
+        return n // 2 >= lo
+    return n % 4 == 1 and 1 < n <= collatz._INT64_STEP_GUARD and cap >= 3 and 3 * n + 1 >= 4 * lo
+
+
+def spy_tail_starts(monkeypatch):
+    """Record the start value of every lane the lockstep hands to the exact
+    stepper (the only ``_walk`` calls with two positional arguments)."""
+    starts, walk = [], collatz._walk
+
+    def spy(*args, **kwargs):
+        if len(args) == 2 and not kwargs:
+            starts.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(collatz, "_walk", spy)
+    return starts
+
+
+@pytest.mark.parametrize("chunk", [7, 256])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, None])
+@pytest.mark.parametrize("lo, hi", [(1, 300), (150, 420), (151, 420), (152, 700), (153, 420)])
+def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi):
+    # 2 lo and the least n with (3n + 1) / 4 >= lo fall inside chunks, at
+    # four positions of a 7-row chunk as lo moves; chunk starts of 7 rows
+    # pass through every residue mod 4. A 7-row chunk hands all its lanes
+    # to the exact stepper before any round, so they are exactly the rows
+    # that were not pre-retired.
+    monkeypatch.setattr(collatz, "_CHUNK", chunk)
+    starts = spy_tail_starts(monkeypatch)
+    rule = collatz.StopRule.at_one(*([cap] if cap else []))
+    result = collatz.survey(lo, hi, rule)
+    assert_rows_exact(result, range(len(result)))
+    if chunk == 7:
+        want = [n for n in range(max(lo, 2), hi + 1) if not pre_retired(n, lo, rule.max_steps)]
+        assert starts == want
+
+
+@pytest.mark.parametrize("guard", [2_000, 2_002])
+@pytest.mark.parametrize("chunk", [7, 256])
+def test_survey_guard_cuts_the_pre_retired_rows(monkeypatch, guard, chunk):
+    # Rows n = 1 mod 4 above the guard would top int64 at 3n + 1; they stay
+    # lanes and go on an excursion. The guard is even, as for real.
+    monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
+    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    monkeypatch.setattr(collatz, "_CHUNK", chunk)
+    starts = spy_tail_starts(monkeypatch)
+    result = collatz.survey(1400, 2600)
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result, 3 * guard)
+    if chunk == 7:
+        want = [n for n in range(1400, 2601)
+                if not pre_retired(n, 1400, collatz.DEFAULT_MAX_STEPS)]
+        assert starts == want
+
+
+def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
+    # Pre-retired rows count as retired in their rounds (1 and 3), so a
+    # dense range never merges lanes, while windows, which pre-retire
+    # nothing, merge as before: 95 rounds over the benchmark's exact_wide
+    # windows at seed 1.
+    rounds = []
+    keep = collatz._keep
+
+    def spy(index, *columns):
+        if index.dtype != bool:  # a merge keeps its leaders by index
+            rounds.append(index.size)
+        return keep(index, *columns)
+
+    monkeypatch.setattr(collatz, "_keep", spy)
+    collatz.survey(1, 10**6)
+    assert rounds == []
+    for lo in (2000264931193, 13652651775475, 90369518052770, 698049293593410,
+               6919942724769661, 48847406005547136, 328055372778564155, 2593422061856511112):
+        collatz.survey(lo, lo + 4095)
+    assert len(rounds) == 95
