@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InconsistentTrace, ResourceError
+from .errors import BranchTraceError, DomainError, InconsistentTrace, ResourceError
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -292,6 +292,14 @@ def _undo(trace: str, cur: int, start: int = 0) -> int:
     return cur
 
 
+def _symbols(trace: str | Sequence[str]) -> str:
+    """``trace`` joined into a string, once every symbol is checked."""
+    for sym in trace:
+        if sym not in (L, R):
+            raise DomainError(f"invalid branch symbol {sym!r}")
+    return "".join(trace)
+
+
 def decode(trace: str | Sequence[str], terminal: int) -> int:
     """Walk a branch string, or a sequence of L/R symbols, back from ``terminal`` to its input.
 
@@ -308,18 +316,22 @@ def decode(trace: str | Sequence[str], terminal: int) -> int:
     holds for every q >= 0 (Terras, 1976). So a forward walk from the
     result gives ``trace`` and ``terminal``, and the per-symbol walk, whose
     inverse is unique, would give the same value. Anything else is
-    decided by the per-symbol walk.
+    decided by the per-symbol walk, after every symbol is checked.
+
+    A string holding no 0 or 1 is not checked first: a block key found in
+    the table then came from L and RL tokens only, and the symbols after
+    the last block are checked before they are undone.
     """
     _require_positive(terminal, "terminal")
-    if not isinstance(trace, str) or trace.strip(L + R):
-        for sym in trace:
-            if sym not in (L, R):
-                raise DomainError(f"invalid branch symbol {sym!r}")
-        trace = "".join(trace)
+    if not isinstance(trace, str) or "0" in trace or "1" in trace:
+        trace = _symbols(trace)
     parity = _parity(trace)
     blocks = (len(parity) - parity.endswith(R)) // _K
     head = _K * blocks + parity.count("1", 0, _K * blocks)
-    cur = _undo(trace, terminal, head)
+    try:
+        cur = _undo(_symbols(trace[head:]), terminal)
+    except BranchTraceError:
+        return _undo(_symbols(trace), terminal)
     keys = [parity[i:i + _K] for i in range(0, _K * blocks, _K)]
     for block in map(_INV.get, reversed(keys)):
         if block is None:
@@ -331,7 +343,7 @@ def decode(trace: str | Sequence[str], terminal: int) -> int:
         cur = (q << _K) | s
     else:
         return cur
-    return _undo(trace, terminal)
+    return _undo(_symbols(trace), terminal)
 
 
 def replay(n: int, trace: str | Sequence[str]) -> tuple[int, int]:
@@ -423,9 +435,9 @@ def _exact_rows(lo: int, offsets, rule: StopRule, steps: np.ndarray, l_count: np
 
 
 def _keep(index, *columns):
-    """Each column at ``index``; None stays None. A list, since tuple() of a
-    generator leaves a spare tuple on CPython's free list at each call."""
-    return [None if column is None else column[index] for column in columns]
+    """Each column at ``index``. A list, since tuple() of a generator
+    leaves a spare tuple on CPython's free list at each call."""
+    return [column[index] for column in columns]
 
 
 def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarray,
@@ -434,28 +446,45 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     """Fill rows [base, stop) of the columns under the AT_ONE ``rule`` by
     memoized descent.
 
-    Every lane steps in lockstep until its value falls below its start
-    while still in the range (its descent target) or reaches 1, so its
-    own step count is the round it retires in. A row's totals are its
-    own plus its target's: steps and halvings add, peaks take the max.
-    Rows before ``base`` are final. Targets inside the chunk are resolved
-    by synchronous pointer jumping over whole columns (Wyllie's list
-    ranking): each round adds every row's target's totals to its own and
-    makes the target's target its target, so chains of d links take
-    ceil(log2 d) rounds. Rows with no target in the chunk point at one
-    sentinel row past the end, which adds nothing and points at itself.
+    Each round, every lane takes one shortcut step, T(x) = x/2 or
+    (3x + 1)/2 (Terras, 1976): with odd = x & 1 the new value is
+    (x >> 1) + odd (x + 1), and the round's peak candidate is new << odd,
+    which is 3x + 1 for an odd x and at most x for an even one. A round
+    is one halving, so a lane's halvings are the round count and its
+    steps add its odd steps, which a per-lane column counts. Lanes step
+    until the value falls below the start while still in the range (its
+    descent target) or reaches 1; only a halving brings a value below
+    the start, so the check follows each round. (An R from below lo into
+    the range is passed over; a later value is as exact a target.) A
+    row's totals are its own plus its target's: steps and halvings add,
+    peaks take the max. Rows before ``base`` are final. Targets inside the
+    chunk are resolved by synchronous pointer jumping over whole columns
+    (Wyllie's list ranking): each round adds every row's target's totals
+    to its own and makes the target's target its target, so chains of d
+    links take ceil(log2 d) rounds. Rows with no target in the chunk
+    point at one sentinel row past the end, which adds nothing and points
+    at itself.
+
+    A round takes one or two steps, so a cap can fall between an odd
+    value's R and its L. A round adds at most one to a lane's steps
+    beyond the round count, so that excess less ``taken`` never grows,
+    and ``wide`` is its largest value after any excursion: no lane is
+    past 2 * taken + wide steps. Only once that bound is within two steps
+    of the cap are lanes checked before a round: one with no step left,
+    or with one left before an R that fits int64, stops at the cap, with
+    peak 3x + 1 in the second case. An odd lane past the guard takes its
+    last step on an excursion; an even one takes it in the round.
 
     Rows whose first descent their residue mod 4 fixes never become
-    lanes; strided slices fill them in first (Terras, 1976). An even n
-    steps to n/2, and an n = 1 mod 4 to 3n + 1, (3n + 1)/2 and
-    (3n + 1)/4. No value before these is below n or 1, so when n/2, or
-    (3n + 1)/4 for 1 < n, is at least lo, it is the lockstep's first
-    in-range descent: 1 step, 1 halving and peak n, or 3 steps, 2
-    halvings and peak 3n + 1. The odd rows also need n at most the guard,
-    so that 3n + 1 fits int64, and a cap of at least 3; otherwise they
-    stay lanes. The merge test below counts them as live until their
-    round (1 or 3), so it merges in the same rounds as a lockstep that
-    stepped them.
+    lanes; strided slices fill them in first. An even n steps to n/2,
+    and an n = 1 mod 4 to 3n + 1, (3n + 1)/2 and (3n + 1)/4. No value
+    before these is below n or 1, so when n/2, or (3n + 1)/4 for 1 < n,
+    is at least lo, it is the lockstep's first in-range descent: 1 step,
+    1 halving and peak n, or 3 steps, 2 halvings and peak 3n + 1. The odd
+    rows also need n at most the guard, so that 3n + 1 fits int64, and a
+    cap of at least 3; otherwise they stay lanes. The merge test below
+    counts them as live until their round (1 or 2), so it merges in the
+    same rounds as a lockstep that stepped them.
 
     Lanes at one value share their future. At rounds 2, 4, 8 and every
     ``_MERGE_EVERY``-th, unless an eighth of the live lanes retired since
@@ -467,16 +496,16 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     exact stepper walks each to 1.
 
     An odd value past the guard would overflow int64, so its lane steps
-    exactly until back at or below the guard, keeping those steps as a
-    per-lane offset; even values halve in int64. That odd step tops
-    int64, so the row is big: its exact peak goes to ``big_peaks`` and
-    its lane's peak is 2^63 - 1 (big leaders are picked by exact peak).
-    No other row holds 2^63 - 1: the guard is even, so a lockstep odd
-    step gives at most 2^63 - 4, and 2^63 - 1 is odd, so its next step
-    leaves int64. So the max along a chain marks the big rows; the exact
-    peak is the largest ``big_peaks`` entry on the chain. Stop codes take
-    the max too: a row chained to a capped one, or whose total tops the
-    cap, is redone by the exact stepper.
+    exactly until back at or below the guard, adding those steps and
+    halvings to its per-lane columns; even values halve in int64. That
+    odd step tops int64, so the row is big: its exact peak goes to
+    ``big_peaks`` and its lane's peak is 2^63 - 1 (big leaders are picked
+    by exact peak). No other row holds 2^63 - 1: the guard is even, so a
+    lockstep odd step gives at most 2^63 - 4, and 2^63 - 1 is odd, so its
+    next step leaves int64. So the max along a chain marks the big rows;
+    the exact peak is the largest ``big_peaks`` entry on the chain. Stop
+    codes take the max too: a row chained to a capped one, or whose total
+    tops the cap, is redone by the exact stepper.
     """
     max_steps, size, first = rule.max_steps, stop - base, lo + base
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
@@ -497,46 +526,42 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     top = cur.copy()
     # lo <= cur < start  <=>  (cur - lo) < (start - lo), compared unsigned.
     span = (cur - lo).view(np.uint64)
+    # Each lane's steps and halvings beyond the round count: an odd step
+    # adds one to ``ahead``, an excursion its steps and halvings.
+    ahead = np.zeros(lane.size, dtype=np.int64)
     halves = np.zeros(lane.size, dtype=np.int64)
-    taken = 0
-    # Steps each lane took on excursions; None until the first excursion,
-    # so a chunk without any runs the plain loop.
-    extra = None
+    taken = wide = 0
     # Live lanes at the last merge round, counting the pre-retired ones
-    # that the lockstep would hold until their round (1 or 3).
+    # that the lockstep would hold until their round (1 or 2).
     held = len(range(size)[odd])
     checked = lane.size + len(range(size)[even]) + held
     while lane.size:
-        if extra is None:
-            if taken >= max_steps:
-                s[lane], lc[lane], pk[lane], cd[lane] = taken, halves, top, 2
-                break
-        else:
-            capped = extra >= max_steps - taken
-            if capped.any():
-                j = lane[capped]
-                s[j], lc[j], pk[j], cd[j] = max_steps, halves[capped], top[capped], 2
-                lane, span, cur, top, halves, extra = _keep(
-                    ~capped, lane, span, cur, top, halves, extra)
-                continue
         if lane.size <= _TAIL:
             for k, row in enumerate(lane.tolist()):
-                before = taken + (0 if extra is None else int(extra[k]))
+                before = taken + int(ahead[k])
                 walked, peak, halved, end, _ = _walk(int(cur[k]), max_steps - before)
-                s[row], lc[row], cd[row] = before + walked, halves[k] + halved, 2 * (end > 1)
+                s[row], lc[row], cd[row] = before + walked, taken + halves[k] + halved, 2 * (end > 1)
                 pk[row] = min(max(peak, int(top[k])), _INT64_MAX)
                 if pk[row] == _INT64_MAX:
                     big_peaks[base + row] = max(peak, big_peaks.get(base + row, 0))
             break
+        if 2 * taken + wide + 2 > max_steps:
+            left = max_steps - taken - ahead
+            done = (left == 0) | (left == 1) & (cur & 1 == 1) & (cur <= _INT64_STEP_GUARD)
+            if done.any():
+                j = lane[done]
+                s[j], lc[j], cd[j] = max_steps, taken + halves[done], 2
+                pk[j] = np.maximum(top[done], 3 * np.where(left[done], cur[done], 0) + 1)
+                lane, span, cur, top, halves, ahead = _keep(~done, lane, span, cur, top, halves, ahead)
+                continue
         if int(cur.max()) > _INT64_STEP_GUARD and (
                 hot := np.nonzero((cur > _INT64_STEP_GUARD) & (cur & 1 == 1))[0]).size:
-            if extra is None:
-                extra = np.zeros(lane.size, dtype=np.int64)
             for k in hot.tolist():
                 walked, peak, halved, end, _ = _walk(
-                    int(cur[k]), max_steps - taken - int(extra[k]), _INT64_STEP_GUARD)
-                extra[k] += walked
+                    int(cur[k]), max_steps - taken - int(ahead[k]), _INT64_STEP_GUARD)
+                ahead[k] += walked
                 halves[k] += halved
+                wide = max(wide, int(ahead[k]) - taken)
                 row = base + int(lane[k])
                 big_peaks[row] = max(peak, big_peaks.get(row, 0))
                 top[k] = _INT64_MAX
@@ -544,24 +569,24 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
                 # check that comes next; its value is not used again.
                 cur[k] = end if end <= _INT64_STEP_GUARD else 0
             continue
-        odd = (cur & 1).astype(bool)
-        cur = np.where(odd, 3 * cur + 1, cur >> 1)
-        halves += ~odd
-        np.maximum(top, cur, out=top)
+        odd = cur & 1
+        cur = (cur >> 1) + odd * (cur + 1)
+        np.maximum(top, cur << odd, out=top)
+        ahead += odd
         taken += 1
         down = (cur - lo).view(np.uint64) < span
         if lo > 1:
             down |= cur == 1
         if down.any():
             j = lane[down]
-            s[j] = taken if extra is None else taken + extra[down]
-            lc[j] = halves[down]
+            s[j] = taken + ahead[down]
+            lc[j] = taken + halves[down]
             pk[j] = top[down]
             target[j] = cur[down] - lo
-            lane, span, cur, top, halves, extra = _keep(~down, lane, span, cur, top, halves, extra)
+            lane, span, cur, top, halves, ahead = _keep(~down, lane, span, cur, top, halves, ahead)
         if taken % _MERGE_EVERY and taken not in (2, 4, 8):
             continue
-        held *= taken < 3
+        held *= taken < 2
         if 8 * (checked - lane.size - held) < lane.size + held:
             big = np.nonzero(top == _INT64_MAX)[0]
             exact = [big_peaks[base + row] for row in lane[big].tolist()]
@@ -572,12 +597,12 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             # The followers, and the leader (first in order) of each one's group.
             f, k = order[~head], order[np.nonzero(head)[0][np.cumsum(head) - 1]][~head]
             j = lane[f]
-            s[j] = 0 if extra is None else extra[f] - extra[k]
+            s[j] = ahead[f] - ahead[k]
             lc[j] = halves[f] - halves[k]
             pk[j] = top[f]
             target[j] = base + lane[k]
-            lane, span, cur, top, halves, extra = _keep(
-                order[head], lane, span, cur, top, halves, extra)
+            lane, span, cur, top, halves, ahead = _keep(
+                order[head], lane, span, cur, top, halves, ahead)
         checked = lane.size + held
 
     chained = target >= 0

@@ -168,6 +168,32 @@ def test_decode_takes_a_list_of_symbols():
     assert got == outcome(collatz.decode, "".join(symbols), 1) == oracles.decode(symbols, 1)
 
 
+def test_decode_finds_bad_symbols_wherever_the_fast_path_skips_them():
+    # A string is not scanned for bad symbols before its blocks are undone,
+    # yet every outcome is still the one of a walk that checks every symbol
+    # first. 27's trace has 8 whole blocks and 6 shortcut steps after them.
+    text = collatz.trace(27).trace
+    bad_r = text[:-3] + "R" + text[-2:]  # its R has no odd predecessor
+    cases = [
+        (text[:20] + "X" + text[21:], "X"),  # in the blocks
+        (text.replace("RL", "1", 1), "1"),  # these four leave the block keys as they are
+        (text.replace("LL", "L0", 1), "0"),
+        ("1LLLLLLL", "1"),
+        ("0LLLLLLL", "0"),
+        (text[:-2] + "X" + text[-1:], "X"),  # after the last block
+        (text[:-5] + "X" + text[-4:], "X"),  # in place of the last R
+        (text[:20] + "Y" + text[21:-2] + "X" + text[-1:], "Y"),  # the first one counts
+        (text[:-2] + "X" + text[-2:] + "R", "X"),  # before an inconsistent R
+        (bad_r + "X", "X"),  # after one
+        (text[:20] + "X" + bad_r[21:], "X"),  # in the blocks, before one
+    ]
+    for trace, sym in cases:
+        want = ("DomainError", f"invalid branch symbol {sym!r}", None)
+        assert outcome(collatz.decode, trace, 1) == want == oracles.decode(trace, 1), trace
+    want = ("InconsistentTrace", "step 106: no odd predecessor for 2", 106)
+    assert outcome(collatz.decode, bad_r, 1) == want == oracles.decode(bad_r, 1)
+
+
 # ------------------------------------------------ K-step block stepper
 
 
@@ -557,18 +583,17 @@ def test_survey_on_repeat_window_at_the_int64_input_limit():
 
 def spy_merges(monkeypatch):
     """Record every lane merge of the survey lockstep as (follower row,
-    leader row, follower's excursion steps minus the leader's, leader's
+    leader row, follower's steps so far minus the leader's, leader's
     clipped peak so far); rows are offsets into the lane's chunk."""
     merges, keep = [], collatz._keep
 
-    def spy(index, lane, span, cur, top, halves, extra):
+    def spy(index, lane, span, cur, top, halves, ahead):
         if index.dtype != bool:  # a merge keeps its leaders by index
             leader = dict(zip(cur[index].tolist(), index.tolist()))
             for i in sorted(set(range(lane.size)) - set(index.tolist())):
                 k = leader[int(cur[i])]
-                delta = 0 if extra is None else int(extra[i] - extra[k])
-                merges.append((int(lane[i]), int(lane[k]), delta, int(top[k])))
-        return keep(index, lane, span, cur, top, halves, extra)
+                merges.append((int(lane[i]), int(lane[k]), int(ahead[i] - ahead[k]), int(top[k])))
+        return keep(index, lane, span, cur, top, halves, ahead)
 
     monkeypatch.setattr(collatz, "_keep", spy)
     return merges
@@ -576,10 +601,11 @@ def spy_merges(monkeypatch):
 
 def test_survey_followers_carry_their_own_excursion_steps(monkeypatch):
     # Below 2^62 lanes leave the lockstep on excursions of different
-    # lengths and meet again later at one value.
+    # lengths and meet again later at one value: 2^62 - 9 meets
+    # 2^62 - 129 with 49 steps more.
     merges = spy_merges(monkeypatch)
-    lo = (1 << 62) - 120
-    result = collatz.survey(lo, lo + 119)
+    lo = (1 << 62) - 300
+    result = collatz.survey(lo, lo + 299)
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result)
     assert any(delta != 0 for _, _, delta, _ in merges)
@@ -721,10 +747,10 @@ def test_survey_guard_cuts_the_pre_retired_rows(monkeypatch, guard, chunk):
 
 
 def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
-    # Pre-retired rows count as retired in their rounds (1 and 3), so a
-    # dense range never merges lanes, while windows, which pre-retire
-    # nothing, merge as before: 95 rounds over the benchmark's exact_wide
-    # windows at seed 1.
+    # Pre-retired rows count as retired in their rounds (1 and 2), so a
+    # dense range never merges lanes. Windows pre-retire nothing and merge
+    # at their own pace: over the benchmark's exact_wide windows at seed 1,
+    # 71 of the rounds (each one shortcut step) merge.
     rounds = []
     keep = collatz._keep
 
@@ -739,4 +765,58 @@ def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
     for lo in (2000264931193, 13652651775475, 90369518052770, 698049293593410,
                6919942724769661, 48847406005547136, 328055372778564155, 2593422061856511112):
         collatz.survey(lo, lo + 4095)
-    assert len(rounds) == 95
+    assert len(rounds) == 71
+
+
+# ------------------------------------------------ one shortcut step a round
+
+
+def caps_between_r_and_l(n, count):
+    """``count`` step caps spread over n's trajectory, each falling between
+    an R and the L after it."""
+    text = collatz.trace(n).trace
+    cuts = [i + 1 for i, sym in enumerate(text) if sym == "R"]
+    return cuts[::len(cuts) // count][:count]
+
+
+@pytest.mark.parametrize("lo, hi, n", [(1, 400, 27), ((1 << 40) + 77, (1 << 40) + 376, (1 << 40) + 77),
+                                       ((1 << 62) - 300, (1 << 62) - 1, (1 << 62) - 9)])
+def test_survey_caps_between_the_r_and_the_l_of_a_shortcut_step(lo, hi, n):
+    # A lockstep round takes an odd value's R and L at once; a cap that
+    # falls between them stops the row at 3n + 1.
+    for cap in [1, 2, 3, 4, *caps_between_r_and_l(n, 4)]:
+        rule = collatz.StopRule.at_one(cap)
+        result = collatz.survey(lo, hi, rule)
+        assert_rows_exact(result, range(len(result)))
+        assert_big_placeholders(result)
+        if cap > 4:
+            assert collatz.trace(n, rule).trace.endswith("R")
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 3, 60])
+@pytest.mark.parametrize("guard", [2_000, 2_002, None])
+def test_survey_lanes_at_the_int64_step_guard(monkeypatch, guard, cap):
+    # Lanes start at guard - 2 ... guard + 2, so odd and even values sit on
+    # both sides of the guard, and with no tail all of them step in the
+    # lockstep: an odd value at or below the guard takes its R there, one
+    # above it goes on an excursion. None keeps the real guard; a lowered
+    # one is even, as the real one is.
+    if guard:
+        monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
+        monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    monkeypatch.setattr(collatz, "_TAIL", 0)
+    guard = collatz._INT64_STEP_GUARD
+    result = collatz.survey(guard - 2, guard + 2, collatz.StopRule.at_one(*([cap] if cap else [])))
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result, collatz._INT64_MAX)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("lo, hi", [(1, 300), (100, 420), ((1 << 62) - 200, 1 << 62)])
+def test_survey_shortcut_rounds_at_chunk_edges(monkeypatch, chunk, lo, hi):
+    monkeypatch.setattr(collatz, "_CHUNK", chunk)
+    monkeypatch.setattr(collatz, "_TAIL", 0)
+    for cap in [None, 1, 2, 3, 4, *caps_between_r_and_l(lo + 26, 3)]:
+        result = collatz.survey(lo, hi, collatz.StopRule.at_one(*([cap] if cap else [])))
+        assert_rows_exact(result, range(len(result)))
+        assert_big_placeholders(result)
