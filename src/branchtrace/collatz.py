@@ -273,9 +273,9 @@ def trace(n: int, rule: StopRule | None = None) -> TraceRecord:
     )
 
 
-def _undo(trace: str, cur: int, start: int = 0) -> int:
-    """Undo ``trace[start:]`` backwards from ``cur``, one symbol at a time."""
-    for index in range(len(trace) - 1, start - 1, -1):
+def _undo(trace: str, cur: int) -> int:
+    """Undo ``trace`` backwards from ``cur``, one symbol at a time."""
+    for index in range(len(trace) - 1, -1, -1):
         if trace[index] == L:
             cur = 2 * cur
             continue
@@ -482,9 +482,9 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     is at least lo, it is the lockstep's first in-range descent: 1 step,
     1 halving and peak n, or 3 steps, 2 halvings and peak 3n + 1. The odd
     rows also need n at most the guard, so that 3n + 1 fits int64, and a
-    cap of at least 3; otherwise they stay lanes. The merge test below
-    counts them as live until their round (1 or 2), so it merges in the
-    same rounds as a lockstep that stepped them.
+    cap of at least 3; otherwise they stay lanes. A lockstep that
+    stepped them would retire them by round 2, the first merge round, so
+    the merge test counts them as retired then.
 
     Lanes at one value share their future. At rounds 2, 4, 8 and every
     ``_MERGE_EVERY``-th, unless an eighth of the live lanes retired since
@@ -526,22 +526,19 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     top = cur.copy()
     # lo <= cur < start  <=>  (cur - lo) < (start - lo), compared unsigned.
     span = (cur - lo).view(np.uint64)
-    # Each lane's steps and halvings beyond the round count: an odd step
-    # adds one to ``ahead``, an excursion its steps and halvings.
+    # Each lane's steps and halvings beyond the round count ``taken``.
     ahead = np.zeros(lane.size, dtype=np.int64)
     halves = np.zeros(lane.size, dtype=np.int64)
     taken = wide = 0
-    # Live lanes at the last merge round, counting the pre-retired ones
-    # that the lockstep would hold until their round (1 or 2).
-    held = len(range(size)[odd])
-    checked = lane.size + len(range(size)[even]) + held
+    # Live lanes at the last merge round (at the start, with pre-retired rows).
+    checked = lane.size + len(range(size)[even]) + len(range(size)[odd])
     while lane.size:
         if lane.size <= _TAIL:
             for k, row in enumerate(lane.tolist()):
                 before = taken + int(ahead[k])
                 walked, peak, halved, end, _ = _walk(int(cur[k]), max_steps - before)
-                s[row], lc[row], cd[row] = before + walked, taken + halves[k] + halved, 2 * (end > 1)
-                pk[row] = min(max(peak, int(top[k])), _INT64_MAX)
+                s[row], lc[row] = before + walked, taken + halves[k] + halved
+                pk[row], cd[row] = min(max(peak, int(top[k])), _INT64_MAX), 2 * (end > 1)
                 if pk[row] == _INT64_MAX:
                     big_peaks[base + row] = max(peak, big_peaks.get(base + row, 0))
             break
@@ -552,7 +549,8 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
                 j = lane[done]
                 s[j], lc[j], cd[j] = max_steps, taken + halves[done], 2
                 pk[j] = np.maximum(top[done], 3 * np.where(left[done], cur[done], 0) + 1)
-                lane, span, cur, top, halves, ahead = _keep(~done, lane, span, cur, top, halves, ahead)
+                lane, span, cur, top, halves, ahead = _keep(
+                    ~done, lane, span, cur, top, halves, ahead)
                 continue
         if int(cur.max()) > _INT64_STEP_GUARD and (
                 hot := np.nonzero((cur > _INT64_STEP_GUARD) & (cur & 1 == 1))[0]).size:
@@ -586,8 +584,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             lane, span, cur, top, halves, ahead = _keep(~down, lane, span, cur, top, halves, ahead)
         if taken % _MERGE_EVERY and taken not in (2, 4, 8):
             continue
-        held *= taken < 2
-        if 8 * (checked - lane.size - held) < lane.size + held:
+        if 8 * (checked - lane.size) < lane.size:
             big = np.nonzero(top == _INT64_MAX)[0]
             exact = [big_peaks[base + row] for row in lane[big].tolist()]
             rank = np.zeros(lane.size, dtype=np.int64)
@@ -603,7 +600,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             target[j] = base + lane[k]
             lane, span, cur, top, halves, ahead = _keep(
                 order[head], lane, span, cur, top, halves, ahead)
-        checked = lane.size + held
+        checked = lane.size
 
     chained = target >= 0
     early = np.nonzero(chained & (target < base))[0]
