@@ -814,6 +814,10 @@ def test_survey_lanes_at_the_int64_step_guard(monkeypatch, guard, cap):
 @pytest.mark.parametrize("chunk", [7, 64])
 @pytest.mark.parametrize("lo, hi", [(1, 300), (100, 420), ((1 << 62) - 200, 1 << 62)])
 def test_survey_shortcut_rounds_at_chunk_edges(monkeypatch, chunk, lo, hi):
+    # With no tail every lane of a 7- or 64-row chunk steps in the
+    # lockstep, so small caps and caps between an R and its L retire
+    # lanes at chunk edges; in the dense ranges rows also descend into
+    # earlier chunks.
     monkeypatch.setattr(collatz, "_CHUNK", chunk)
     monkeypatch.setattr(collatz, "_TAIL", 0)
     for cap in [None, 1, 2, 3, 4, *caps_between_r_and_l(lo + 26, 3)]:
