@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import collatz
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 RANGE_CAP = collatz.RANGE_CAP
 MAX_LABEL_DEPTH = 20
@@ -34,15 +34,13 @@ _FG_TO_LR = str.maketrans("fg", "LR")
 
 def description_bits(n: int) -> int:
     """Minimal binary length of n: floor(log2 n) + 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    require_int(n, "n", 1)
     return n.bit_length()
 
 
 def paths_at_depth(d: int) -> int:
     """Count of distinct branch paths after d two-way selections: 2^d."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise DomainError(f"depth must be a non-negative integer, got {d!r}")
+    require_int(d, "depth", 0)
     return 1 << d
 
 
@@ -53,8 +51,7 @@ def composition_labels(d: int) -> list[tuple[str, str]]:
     g to R position by position. Depth is capped because the output is
     exhaustive.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise DomainError(f"depth must be a non-negative integer, got {d!r}")
+    require_int(d, "depth", 0)
     if d > MAX_LABEL_DEPTH:
         raise DomainError(f"depth {d} exceeds enumeration cap {MAX_LABEL_DEPTH}")
     labels = []
@@ -106,10 +103,8 @@ class BoundReport:
 def bound_report(lo: int, hi: int,
                  max_steps: int = collatz.DEFAULT_MAX_STEPS) -> BoundReport:
     """Tabulate b(n), r(n), and halving counts for every n in [lo, hi]."""
-    if not isinstance(lo, int) or isinstance(lo, bool) or lo < 1:
-        raise DomainError(f"lo must be a positive integer, got {lo!r}")
-    if not isinstance(hi, int) or isinstance(hi, bool) or hi < lo:
-        raise DomainError(f"hi must be an integer >= lo, got {hi!r}")
+    require_int(lo, "lo", 1)
+    require_int(hi, "hi", lo)
     # collatz.survey raises ResourceError for more than RANGE_CAP inputs,
     # before it allocates anything.
     result = collatz.survey(lo, hi, collatz.StopRule.at_one(max_steps))

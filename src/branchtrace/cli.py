@@ -100,8 +100,8 @@ def _write_text(path: str | None, text: str) -> None:
         write(text)
 
 
-def _emit_json(payload, path: str | None = None) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+def _emit_json(payload) -> None:
+    _write_text(None, json.dumps(payload, indent=2) + "\n")
 
 
 def _decimal(value: int) -> str:
@@ -128,8 +128,7 @@ def _trace_payload(rec: collatz.TraceRecord) -> dict:
 
 
 def _cmd_trace(args) -> int:
-    mode = collatz.StopMode.AT_ONE if args.stop == "one" else collatz.StopMode.ON_REPEAT
-    rec = collatz.trace(args.n, collatz.StopRule(mode, args.max_steps))
+    rec = collatz.trace(args.n, collatz.StopRule(collatz.StopMode(args.stop), args.max_steps))
     payload = _trace_payload(rec)
     if args.format == "json":
         _emit_json(payload)
@@ -139,8 +138,6 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    if set(args.trace) - {"L", "R"}:
-        raise _CliError(2, "trace may only hold the characters L and R")
     value = collatz.decode(args.trace, args.terminal)
     _write_text(None, _decimal(value) + "\n")
     return 0
@@ -290,8 +287,7 @@ def _cmd_rule30(args) -> int:
         raise _CliError(2, "nothing to do: pass --pbm and/or --center")
     if args.mode is None:
         args.mode = "expand" if args.init == "single" else "wrap"
-    mode = (rule30.BoundaryMode.WRAP if args.mode == "wrap"
-            else rule30.BoundaryMode.EXPAND_ZERO)
+    mode = rule30.BoundaryMode(args.mode)
     initial = _initial_row(args)
     if args.pbm is None:
         column = rule30.center_column(initial, args.steps, mode)
@@ -402,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="branch trace of one trajectory")
     p.add_argument("n", type=_natural)
-    p.add_argument("--stop", choices=("one", "repeat"), default="one")
+    p.add_argument("--stop", choices=[mode.value for mode in collatz.StopMode], default="one")
     p.add_argument("--max-steps", type=_natural, default=collatz.DEFAULT_MAX_STEPS)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_trace)
@@ -424,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_natural, default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--steps", type=_natural, required=True)
-    p.add_argument("--mode", choices=("wrap", "expand"), default=None,
+    p.add_argument("--mode", choices=[mode.value for mode in rule30.BoundaryMode], default=None,
                    help="default: expand for --init single, wrap for random")
     p.add_argument("--pbm", default=None, help="write the full grid as PBM P1")
     p.add_argument("--center", default=None,

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BranchTraceError, DomainError, InconsistentTrace, ResourceError
+from .errors import BranchTraceError, DomainError, InconsistentTrace, ResourceError, require_int
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -81,8 +81,7 @@ class StopRule:
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
-        if not isinstance(self.max_steps, int) or self.max_steps < 1:
-            raise DomainError("max_steps must be a positive integer")
+        require_int(self.max_steps, "max_steps", 1)
 
     @classmethod
     def at_one(cls, max_steps: int = DEFAULT_MAX_STEPS) -> "StopRule":
@@ -124,14 +123,9 @@ class TraceSummary:
     stop_reason: StopReason
 
 
-def _require_positive(n, name: str = "n") -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"{name} must be a positive integer, got {n!r}")
-
-
 def step(n: int) -> tuple[int, str]:
     """One branch: even n halves (L branch), odd n maps to 3n+1 (R branch)."""
-    _require_positive(n)
+    require_int(n, "n", 1)
     if n & 1:
         return 3 * n + 1, R
     return n >> 1, L
@@ -261,7 +255,7 @@ def trace(n: int, rule: StopRule | None = None) -> TraceRecord:
     so ``trace(1)`` is the empty trace. Under ``ON_REPEAT`` it halts when
     the current value has already been visited in this trajectory.
     """
-    _require_positive(n)
+    require_int(n, "n", 1)
     steps, peak, _, cur, symbols, code = _exact(n, rule or StopRule(), True)
     return TraceRecord(
         n=n,
@@ -322,7 +316,7 @@ def decode(trace: str | Sequence[str], terminal: int) -> int:
     the table then came from L and RL tokens only, and the symbols after
     the last block are checked before they are undone.
     """
-    _require_positive(terminal, "terminal")
+    require_int(terminal, "terminal", 1)
     if not isinstance(trace, str) or "0" in trace or "1" in trace:
         trace = _symbols(trace)
     parity = _parity(trace)
@@ -354,7 +348,7 @@ def replay(n: int, trace: str | Sequence[str]) -> tuple[int, int]:
     parity of the current value, i.e. the string does not describe the
     trajectory of ``n``.
     """
-    _require_positive(n)
+    require_int(n, "n", 1)
     _, peak, _, cur, text = _walk(n, len(trace), 0, True)
     if text == trace or list(text) == list(trace):
         return cur, peak
@@ -444,75 +438,25 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
                   l_count: np.ndarray, peaks: np.ndarray, codes: np.ndarray,
                   big_peaks: dict[int, int]) -> None:
     """Fill rows [base, stop) of the columns under the AT_ONE ``rule`` by
-    memoized descent.
+    memoized descent. Rows before ``base`` are final.
 
-    Each round, every lane takes one shortcut step, T(x) = x/2 or
-    (3x + 1)/2 (Terras, 1976): with odd = x & 1 the new value is
-    (x >> 1) + odd (x + 1), and the round's peak candidate is new << odd,
-    which is 3x + 1 for an odd x and at most x for an even one. A round
-    is one halving, so a lane's halvings are the round count and its
-    steps add its odd steps, which a per-lane column counts. Lanes step
-    until the value falls below the start while still in the range (its
-    descent target) or reaches 1; only a halving brings a value below
-    the start, so the check follows each round. (An R from below lo into
-    the range is passed over; a later value is as exact a target.) A
-    row's totals are its own plus its target's: steps and halvings add,
-    peaks take the max. Rows before ``base`` are final. Targets inside the
-    chunk are resolved by synchronous pointer jumping over whole columns
-    (Wyllie's list ranking): each round adds every row's target's totals
-    to its own and makes the target's target its target, so chains of d
-    links take ceil(log2 d) rounds. Rows with no target in the chunk
-    point at one sentinel row past the end, which adds nothing and points
-    at itself.
-
-    A round takes one or two steps, so a cap can fall between an odd
-    value's R and its L. A round adds at most one to a lane's steps
-    beyond the round count, so that excess less ``taken`` never grows,
-    and ``wide`` is its largest value after any excursion: no lane is
-    past 2 * taken + wide steps. Only once that bound is within two steps
-    of the cap are lanes checked before a round: one with no step left,
-    or with one left before an R that fits int64, stops at the cap, with
-    peak 3x + 1 in the second case. An odd lane past the guard takes its
-    last step on an excursion; an even one takes it in the round.
-
-    Rows whose first descent their residue mod 4 fixes never become
-    lanes; strided slices fill them in first. An even n steps to n/2,
-    and an n = 1 mod 4 to 3n + 1, (3n + 1)/2 and (3n + 1)/4. No value
-    before these is below n or 1, so when n/2, or (3n + 1)/4 for 1 < n,
-    is at least lo, it is the lockstep's first in-range descent: 1 step,
-    1 halving and peak n, or 3 steps, 2 halvings and peak 3n + 1. The odd
-    rows also need n at most the guard, so that 3n + 1 fits int64, and a
-    cap of at least 3; otherwise they stay lanes. A lockstep that
-    stepped them would retire them by round 2, the first merge round, so
-    the merge test counts them as retired then.
-
-    Lanes at one value share their future. At rounds 2, 4, 8 and every
-    ``_MERGE_EVERY``-th, unless an eighth of the live lanes retired since
-    the last such round (as in dense ranges), only the lane of least peak
-    so far in each group steps on. The rest retire with it as target,
-    keeping steps and halvings minus its own (maybe <= 0) and their own
-    peak: it is no less than the leader's, so the max of it and the
-    leader's total is exact. With ``_TAIL`` lanes or fewer left, the
-    exact stepper walks each to 1.
-
-    An odd value past the guard would overflow int64, so its lane steps
-    exactly until back at or below the guard, adding those steps and
-    halvings to its per-lane columns; even values halve in int64. That
-    odd step tops int64, so the row is big: its exact peak goes to
-    ``big_peaks`` and its lane's peak is 2^63 - 1 (big leaders are picked
-    by exact peak). No other row holds 2^63 - 1: the guard is even, so a
-    lockstep odd step gives at most 2^63 - 4, and 2^63 - 1 is odd, so its
-    next step leaves int64. So the max along a chain marks the big rows;
-    the exact peak is the largest ``big_peaks`` entry on the chain. Stop
-    codes take the max too: a row chained to a capped one, or whose total
-    tops the cap, is redone by the exact stepper.
+    Each row's lane steps until its value falls below its start while
+    still in the range (its descent target) or reaches 1. The row's
+    totals are then its own plus its target's: steps and halvings add,
+    peaks and stop codes take the max. A big row reads 2^63 - 1 in
+    ``peaks`` and keeps its exact peak in ``big_peaks``.
     """
     max_steps, size, first = rule.max_steps, stop - base, lo + base
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
     # Offset of each row's descent target or leader; negative for none.
     target = np.full(size, -1, dtype=np.int64)
-    # Pre-retired rows: even n >= 2 lo, and n = 1 mod 4 with 5 <= n <= the
-    # guard and 3n + 1 >= 4 lo (so n >= (4 lo + 1) // 3).
+    # Rows whose first descent their residue mod 4 fixes never become lanes.
+    # An even n steps to n/2, and an n = 1 mod 4 to 3n + 1, (3n + 1)/2 and
+    # (3n + 1)/4, with no value below n or 1 before these. So the target is
+    # n/2 (1 step, 1 halving, peak n) for even n >= 2 lo, and (3n + 1)/4
+    # (3 steps, 2 halvings, peak 3n + 1) for n = 1 mod 4 with 5 <= n <= the
+    # guard, so that 3n + 1 fits int64, 3n + 1 >= 4 lo (n >= (4 lo + 1) // 3)
+    # and a cap of at least 3.
     n = max(2 * lo, first)
     even = slice(n + (n & 1) - first, size, 2)
     n = max(5, first, (4 * lo + 1) // 3)
@@ -526,11 +470,13 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     top = cur.copy()
     # lo <= cur < start  <=>  (cur - lo) < (start - lo), compared unsigned.
     span = (cur - lo).view(np.uint64)
-    # Each lane's steps and halvings beyond the round count ``taken``.
+    # Each lane's steps and halvings beyond the round count ``taken``; a
+    # round is one shortcut step, so one halving.
     ahead = np.zeros(lane.size, dtype=np.int64)
     halves = np.zeros(lane.size, dtype=np.int64)
     taken = wide = 0
-    # Live lanes at the last merge round (at the start, with pre-retired rows).
+    # Live lanes at the last merge round. The pre-retired rows count as live
+    # at the start: a lockstep would have retired them by round 2, the first.
     checked = lane.size + len(range(size)[even]) + len(range(size)[odd])
     while lane.size:
         if lane.size <= _TAIL:
@@ -542,6 +488,15 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
                 if pk[row] == _INT64_MAX:
                     big_peaks[base + row] = max(peak, big_peaks.get(base + row, 0))
             break
+        # A round takes one or two steps, so a cap can fall between an R and
+        # its L. A round adds at most one step beyond the round count, so
+        # ``ahead - taken`` never grows in a round; ``wide`` is its largest
+        # value after any excursion. So no lane is past 2 * taken + wide
+        # steps, and lanes need checking only once that is within two steps
+        # of the cap. One with no step left, or with one left before an R
+        # that fits int64, stops at the cap, with peak 3x + 1 in the second
+        # case. An odd lane past the guard takes its last step on an
+        # excursion; an even one takes it in the round.
         if 2 * taken + wide + 2 > max_steps:
             left = max_steps - taken - ahead
             done = (left == 0) | (left == 1) & (cur & 1 == 1) & (cur <= _INT64_STEP_GUARD)
@@ -552,6 +507,12 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
                 lane, span, cur, top, halves, ahead = _keep(
                     ~done, lane, span, cur, top, halves, ahead)
                 continue
+        # An odd value past the guard would overflow int64, so its lane steps
+        # exactly until back at or below the guard; even values halve in
+        # int64. That odd step tops int64, so the row is big, and its lane's
+        # peak is 2^63 - 1. No other row holds 2^63 - 1: the guard is even,
+        # so a lockstep odd step gives at most 2^63 - 4, and 2^63 - 1 is odd,
+        # so its next step leaves int64.
         if int(cur.max()) > _INT64_STEP_GUARD and (
                 hot := np.nonzero((cur > _INT64_STEP_GUARD) & (cur & 1 == 1))[0]).size:
             for k in hot.tolist():
@@ -567,11 +528,16 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
                 # check that comes next; its value is not used again.
                 cur[k] = end if end <= _INT64_STEP_GUARD else 0
             continue
+        # One shortcut step, T(x) = x/2 or (3x + 1)/2 (Terras, 1976); the
+        # peak candidate new << odd is 3x + 1 for an odd x, at most x else.
         odd = cur & 1
         cur = (cur >> 1) + odd * (cur + 1)
         np.maximum(top, cur << odd, out=top)
         ahead += odd
         taken += 1
+        # Only a halving brings a value below the start, so the check follows
+        # the round. An R from below lo into the range is passed over; a
+        # later value is as exact a target.
         down = (cur - lo).view(np.uint64) < span
         if lo > 1:
             down |= cur == 1
@@ -584,6 +550,13 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             lane, span, cur, top, halves, ahead = _keep(~down, lane, span, cur, top, halves, ahead)
         if taken % _MERGE_EVERY and taken not in (2, 4, 8):
             continue
+        # Lanes at one value share their future, so unless an eighth of the
+        # live lanes retired since the last merge round (as in dense ranges),
+        # only the lane of least peak so far in each group steps on, big
+        # lanes ranked by exact peak. The rest retire with it as target,
+        # keeping steps and halvings minus its own (maybe <= 0) and their own
+        # peak: that is no less than the leader's peak so far, so the max of
+        # it and the leader's total is exact.
         if 8 * (checked - lane.size) < lane.size:
             big = np.nonzero(top == _INT64_MAX)[0]
             exact = [big_peaks[base + row] for row in lane[big].tolist()]
@@ -609,7 +582,10 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     lc[early] += l_count[t]
     pk[early] = np.maximum(pk[early], peaks[t])
     # No stop codes from here: a chain that descends to a capped row tops the cap.
-    # Row ``size`` is the sentinel: nothing to add, and itself as target.
+    # Targets in the chunk are resolved by pointer jumping (Wyllie's list
+    # ranking): each round adds every row's target's totals to its own and
+    # makes the target's target its target, so d links take ceil(log2 d)
+    # rounds. Row ``size`` is the sentinel: nothing to add, and itself as target.
     nxt = np.append(np.where(chained & (target >= base), target - base, size), size)
     ranked = [np.append(a, 0) for a in (s, lc, pk, cd)]
     while (nxt[:size] != size).any():
@@ -618,12 +594,15 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
         nxt = nxt.take(nxt)
     s[:], lc[:], pk[:], cd[:] = (column[:size] for column in ranked)
 
+    # Only big rows hold 2^63 - 1, so the max along a chain marks them; the
+    # exact peak is the largest ``big_peaks`` entry on the chain.
     for row in np.nonzero(pk == _INT64_MAX)[0].tolist():
         peak, link = 0, base + row
         while link >= 0 and peaks[link] == _INT64_MAX:
             peak = max(peak, big_peaks.get(link, 0))
             link = int(target[link - base]) if link >= base else -1
         big_peaks[base + row] = peak
+    # A row chained to a capped one, or whose total tops the cap, is redone.
     redo = np.nonzero(chained & ((cd != 0) | (s > max_steps)))[0]
     _exact_rows(lo, (base + redo).tolist(), rule, steps, l_count, peaks, codes, big_peaks)
 
@@ -653,10 +632,8 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     chunking never reorders rows. A range of more than :data:`RANGE_CAP`
     inputs raises :class:`ResourceError` before anything is allocated.
     """
-    _require_positive(lo, "lo")
-    _require_positive(hi, "hi")
-    if lo > hi:
-        raise DomainError(f"empty range: lo={lo} > hi={hi}")
+    require_int(lo, "lo", 1)
+    require_int(hi, "hi", lo)
     if rule is None:
         rule = StopRule()
     size = hi - lo + 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 
-from .errors import BlockLengthError, DomainError, KeyLengthError
+from .errors import BlockLengthError, DomainError, KeyLengthError, require_int
 
 KEY_LEN = 32
 BLOCK_LEN = 32
@@ -28,10 +28,6 @@ G_CONSTANT = 0xA5A5A5A5A5A5A5A5
 _MASK = (1 << 64) - 1
 # A block, and the digest, as four little-endian 64-bit words.
 _WORDS = struct.Struct("<4Q")
-
-
-def _rotl(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & _MASK
 
 
 class CompositionState:
@@ -64,41 +60,15 @@ def init(key: bytes) -> CompositionState:
     return CompositionState(*words)
 
 
-def round_f(state: CompositionState) -> CompositionState:
-    """Round f; updates are sequential, each line sees the ones above."""
-    state.w0 = (state.w0 + state.w1) & _MASK
-    state.w3 = _rotl(state.w3 ^ state.w0, 13)
-    state.w2 = (state.w2 + state.w3) & _MASK
-    state.w1 = _rotl(state.w1 ^ state.w2, 29)
-    return state
-
-
-def round_g(state: CompositionState) -> CompositionState:
-    """Round g; same sequential convention as f."""
-    state.w0 ^= G_CONSTANT
-    state.w1 = (state.w1 + state.w3) & _MASK
-    state.w2 = _rotl(state.w2 ^ state.w1, 7)
-    state.w3 = _rotl((state.w3 + state.w0) & _MASK, 41)
-    return state
-
-
-def select_round(state: CompositionState) -> CompositionState:
-    """One data-driven composition step: lsb(w0) picks f (0) or g (1)."""
-    if state.w0 & 1:
-        state.trace.append("R")
-        return round_g(state)
-    state.trace.append("L")
-    return round_f(state)
-
-
 def _drive(words, blocks, forced=None):
     """Run 16 rounds per block from ``words``; the one round driver.
 
     Each block is four little-endian words XORed into the state before
-    its rounds. With ``forced`` None, lsb(w0) selects every round as in
-    :func:`select_round`; otherwise ``forced`` is an already validated
-    L/R sequence consumed in order. This is round_f and round_g inlined
-    on local variables. Returns the final words and the symbols run.
+    its rounds. With ``forced`` None, lsb(w0) selects each round: f (L)
+    when it is 0, g (R) when it is 1. Otherwise ``forced`` is an already
+    validated L/R sequence consumed in order. Each round's updates are
+    sequential; each line sees the ones above it. Returns the final
+    words and the symbols run.
     """
     w0, w1, w2, w3 = words
     mask, constant = _MASK, G_CONSTANT
@@ -159,8 +129,7 @@ def trace_length(message_len: int) -> int:
 
     Depends only on the length; the trace CONTENT depends on the data.
     """
-    if not isinstance(message_len, int) or message_len < 0:
-        raise DomainError(f"message length must be >= 0, got {message_len!r}")
+    require_int(message_len, "message length", 0)
     blocks = (message_len + 1 + BLOCK_LEN - 1) // BLOCK_LEN + 1
     return ROUNDS_PER_BLOCK * blocks
 

@@ -32,3 +32,10 @@ class KeyLengthError(DomainError):
 
 class BlockLengthError(DomainError):
     """An absorbed block does not have the required length."""
+
+
+def require_int(value, name: str, least: int) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an int, not a bool,
+    of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")

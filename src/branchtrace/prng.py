@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_int
+
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
 _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
@@ -54,8 +56,7 @@ class XorShift64Star:
 
     def bits(self, count: int) -> np.ndarray:
         """`count` bits as a uint8 array, 64 per word, MSB first."""
-        if count < 0:
-            raise ValueError("bit count must be non-negative")
+        require_int(count, "bit count", 0)
         words = (count + 63) // 64
         buf = b"".join(
             self.next_word().to_bytes(8, "big") for _ in range(words)
@@ -65,8 +66,7 @@ class XorShift64Star:
 
     def bytes(self, count: int) -> bytes:
         """`count` bytes, 8 per word, little-endian within each word."""
-        if count < 0:
-            raise ValueError("byte count must be non-negative")
+        require_int(count, "byte count", 0)
         words = (count + 7) // 8
         buf = b"".join(
             self.next_word().to_bytes(8, "little") for _ in range(words)
@@ -75,8 +75,7 @@ class XorShift64Star:
 
     def below(self, bound: int) -> int:
         """Exactly uniform integer in [0, bound), by rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        require_int(bound, "bound", 1)
         limit = ((1 << 64) // bound) * bound
         while True:
             w = self.next_word()

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .prng import XorShift64Star
 from .special import erfc, reg_gamma_upper
 
@@ -192,10 +192,8 @@ def avalanche(fn: Callable[[bytes], bytes], input_len: int, trials: int,
     distance between the two outputs divided by the output bit length.
     Deterministic for a given seed. Exceptions from ``fn`` propagate.
     """
-    if not isinstance(trials, int) or trials < 100:
-        raise DomainError(f"avalanche needs at least 100 trials, got {trials!r}")
-    if not isinstance(input_len, int) or input_len < 1:
-        raise DomainError(f"input length must be >= 1 bytes, got {input_len!r}")
+    require_int(trials, "trials", 100)
+    require_int(input_len, "input length", 1)
     rng = XorShift64Star(seed)
     fractions: list[float] = []
     for _ in range(trials):

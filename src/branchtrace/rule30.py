@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, require_int
 from .prng import XorShift64Star
 
 RULE_NUMBER = 30
@@ -45,8 +45,7 @@ class Row:
     bits: int
 
     def __post_init__(self):
-        if not isinstance(self.width, int) or self.width < 1:
-            raise DomainError(f"row width must be >= 1, got {self.width!r}")
+        require_int(self.width, "row width", 1)
         if not 0 <= self.bits < (1 << self.width):
             raise DomainError("row bits do not fit the declared width")
 
@@ -72,7 +71,8 @@ class Row:
     @classmethod
     def single(cls, width: int = 1) -> "Row":
         """A lone 1 cell centered in an odd ``width``."""
-        if not isinstance(width, int) or width < 1 or width % 2 == 0:
+        require_int(width, "row width", 1)
+        if width % 2 == 0:
             raise DomainError(f"single-cell rows need an odd width, got {width!r}")
         return cls(width, 1 << (width // 2))
 
@@ -127,8 +127,7 @@ def step_row(row: Row, mode: BoundaryMode) -> Row:
 
 
 def _check_caps(initial: Row, steps: int, mode: BoundaryMode) -> None:
-    if not isinstance(steps, int) or steps < 0:
-        raise DomainError(f"steps must be a non-negative integer, got {steps!r}")
+    require_int(steps, "steps", 0)
     if steps > STEP_CAP:
         raise ResourceError(f"steps {steps} exceeds cap {STEP_CAP}")
     final_width = initial.width
@@ -194,8 +193,7 @@ def center_column(initial: Row, steps: int, mode: BoundaryMode) -> np.ndarray:
 
 def random_row(width: int, seed: int) -> Row:
     """Deterministic pseudorandom row; cell i is the i-th generator bit."""
-    if not isinstance(width, int) or width < 1:
-        raise DomainError(f"row width must be >= 1, got {width!r}")
+    require_int(width, "row width", 1)
     if width > WIDTH_CAP:
         raise ResourceError(f"width {width} exceeds cap {WIDTH_CAP}")
     gen = XorShift64Star(seed)

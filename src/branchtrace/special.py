@@ -1,18 +1,18 @@
 """Self-contained special functions for the statistical tests.
 
 The p-value machinery needs only two functions: the complementary error
-function and the regularized incomplete gamma function. Both are
+function and the regularized upper incomplete gamma function. Both are
 implemented here from standard, documented expansions rather than pulled
 from platform math libraries, so reported p-values are identical across
 platforms:
 
 * ``log_gamma``: Lanczos approximation, g = 607/128, 15 coefficients
   (near machine precision over the positive reals).
-* ``reg_gamma_lower`` / ``reg_gamma_upper`` (P and Q): the power series
-  for P when x < a + 1, the modified Lentz continued fraction for Q
-  otherwise. Iteration stops at a 1e-16 relative term, giving at least
-  1e-12 absolute accuracy (the test suite checks this against
-  independent references).
+* ``reg_gamma_upper`` (Q): 1 - P by the power series for P when
+  x < a + 1, the modified Lentz continued fraction for Q otherwise.
+  Iteration stops at a 1e-16 relative term, giving at least 1e-12
+  absolute accuracy (the test suite checks this against an independent
+  reference).
 * ``erfc(x)`` is then exactly Q(1/2, x**2) for x >= 0, reflected via
   erfc(-x) = 2 - erfc(x).
 """
@@ -93,19 +93,6 @@ def _gamma_cf(a: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             break
     return math.exp(-x + a * math.log(x) - log_gamma(a)) * h
-
-
-def reg_gamma_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise DomainError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
 
 
 def reg_gamma_upper(a: float, x: float) -> float:

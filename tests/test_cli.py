@@ -100,6 +100,7 @@ def test_invert_inconsistent_trace_names_step():
 def test_invert_rejects_bad_symbols():
     proc = run("invert", "--trace", "LRX", "--terminal", "1")
     assert proc.returncode == 2
+    assert proc.stderr == "error: invalid branch symbol 'X'\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,3 @@
-import copy
 import random
 
 import pytest
@@ -12,13 +11,6 @@ import oracles
 
 keys = st.binary(min_size=32, max_size=32)
 messages = st.binary(min_size=0, max_size=200)
-
-
-def state_copy(state):
-    clone = dc.CompositionState(*state.words())
-    clone.trace = list(state.trace)
-    clone.absorbed_bytes = state.absorbed_bytes
-    return clone
 
 
 # ------------------------------------------------------------------ init
@@ -49,81 +41,7 @@ def test_init_rejects_bad_keys(bad):
         dc.init(bad)
 
 
-# ---------------------------------------------------------------- rounds
-
-
-def test_round_f_fixes_zero_state():
-    state = dc.round_f(dc.init(bytes(32)))
-    assert state.words() == (0, 0, 0, 0)
-
-
-def test_round_g_on_zero_state():
-    state = dc.round_g(dc.init(bytes(32)))
-    assert state.words() == (
-        0xA5A5A5A5A5A5A5A5,
-        0,
-        0,
-        0x4B4B4B4B4B4B4B4B,
-    )
-
-
-def test_round_f_not_idempotent():
-    state = dc.init(bytes(range(32)))
-    once = dc.round_f(state_copy(state)).words()
-    twice = dc.round_f(dc.round_f(state_copy(state))).words()
-    assert once != twice
-
-
-def test_rounds_stay_in_64_bits():
-    state = dc.init(b"\xff" * 32)
-    for _ in range(64):
-        dc.round_f(state)
-        dc.round_g(state)
-    assert all(0 <= w < (1 << 64) for w in state.words())
-
-
-# -------------------------------------------------------------- selection
-
-
-def test_select_round_even_picks_f():
-    state = dc.init(bytes(32))
-    dc.select_round(state)
-    assert state.trace == ["L"]
-    assert state.words() == (0, 0, 0, 0)
-
-
-def test_select_round_odd_picks_g():
-    key = b"\x01" + bytes(31)
-    state = dc.init(key)
-    assert state.w0 == 1
-    dc.select_round(state)
-    assert state.trace == ["R"]
-
-
-def test_sixteen_selections_reproducible():
-    key = bytes(range(32))
-    a = dc.init(key)
-    b = dc.init(key)
-    for _ in range(16):
-        dc.select_round(a)
-        dc.select_round(b)
-    assert len(a.trace) == 16
-    assert a.trace == b.trace
-    assert a.words() == b.words()
-
-
 # ---------------------------------------------------------------- absorb
-
-
-def test_absorb_zero_block_is_pure_rounds():
-    key = bytes(range(32))
-    absorbed = dc.absorb(dc.init(key), bytes(32))
-    rounds_only = dc.init(key)
-    for _ in range(dc.ROUNDS_PER_BLOCK):
-        dc.select_round(rounds_only)
-    assert absorbed.words() == rounds_only.words()
-    assert absorbed.trace == rounds_only.trace
-    assert absorbed.absorbed_bytes == 32
 
 
 def test_absorb_trace_grows_by_rounds_per_block():

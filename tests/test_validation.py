@@ -1,0 +1,59 @@
+"""Every public integer parameter goes through ``errors.require_int``: a
+bool, a float, a numeric string or a value one below the least allowed
+raises :class:`DomainError` (a ``ValueError``)."""
+
+import pytest
+
+from branchtrace import bounds, collatz, dyncompose, randstat, rule30
+from branchtrace.errors import DomainError
+from branchtrace.prng import XorShift64Star
+
+EXPAND = rule30.BoundaryMode.EXPAND_ZERO
+
+# (name, call taking the value under test, least allowed value)
+SITES = [
+    ("collatz.step:n", collatz.step, 1),
+    ("collatz.trace:n", collatz.trace, 1),
+    ("collatz.decode:terminal", lambda v: collatz.decode("", v), 1),
+    ("collatz.replay:n", lambda v: collatz.replay(v, ""), 1),
+    ("collatz.survey:lo", lambda v: collatz.survey(v, 10), 1),
+    ("collatz.survey:hi", lambda v: collatz.survey(3, v), 3),
+    ("collatz.StopRule:max_steps", lambda v: collatz.StopRule(collatz.StopMode.AT_ONE, v), 1),
+    ("collatz.StopRule.at_one:max_steps", collatz.StopRule.at_one, 1),
+    ("collatz.StopRule.on_repeat:max_steps", collatz.StopRule.on_repeat, 1),
+    ("bounds.description_bits:n", bounds.description_bits, 1),
+    ("bounds.paths_at_depth:d", bounds.paths_at_depth, 0),
+    ("bounds.composition_labels:d", bounds.composition_labels, 0),
+    ("bounds.bound_report:lo", lambda v: bounds.bound_report(v, 10), 1),
+    ("bounds.bound_report:hi", lambda v: bounds.bound_report(3, v), 3),
+    ("rule30.Row:width", lambda v: rule30.Row(v, 1), 1),
+    ("rule30.Row.single:width", rule30.Row.single, 1),
+    ("rule30.evolve:steps", lambda v: rule30.evolve(rule30.Row.single(), v, EXPAND), 0),
+    ("rule30.center_column:steps",
+     lambda v: rule30.center_column(rule30.Row.single(), v, EXPAND), 0),
+    ("rule30.random_row:width", lambda v: rule30.random_row(v, 0), 1),
+    ("dyncompose.trace_length:message_len", dyncompose.trace_length, 0),
+    ("randstat.avalanche:input_len", lambda v: randstat.avalanche(bytes, v, 100, 0), 1),
+    ("randstat.avalanche:trials", lambda v: randstat.avalanche(bytes, 1, v, 0), 100),
+    ("prng.bits:count", lambda v: XorShift64Star(1).bits(v), 0),
+    ("prng.bytes:count", lambda v: XorShift64Star(1).bytes(v), 0),
+    ("prng.below:bound", lambda v: XorShift64Star(1).below(v), 1),
+]
+
+
+# Each bad value, given the least allowed one.
+BAD = {
+    "True": lambda least: True,
+    "2.0": lambda least: 2.0,
+    "'3'": lambda least: "3",
+    "least-1": lambda least: least - 1,
+}
+
+
+@pytest.mark.parametrize("call,least", [pytest.param(call, least, id=name)
+                                        for name, call, least in SITES])
+@pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+def test_public_integer_parameters_reject_non_ints(call, least, bad):
+    with pytest.raises(DomainError):
+        call(bad(least))
+    call(least)  # the least allowed value is accepted
