@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 from typing import Callable, Iterator
@@ -256,26 +257,24 @@ def _initial_row(args) -> rule30.Row:
 _PBM_BLOCK_BYTES = 1 << 16
 
 
-def _write_pbm(write, grid: rule30.Grid) -> np.ndarray:
-    """The grid as PBM P1, formatted and written a block of rows at a time.
+def _write_pbm(write, width: int, height: int, generations) -> np.ndarray:
+    """``height`` (width, bits) generations, the last ``width`` cells wide,
+    as PBM P1, formatted and written a block of rows at a time as they
+    come; no row is kept past its block.
 
     Rows narrower than the last one (EXPAND_ZERO) are centered on zeros.
     Each row's cells come from one format() of its bits; numpy lays the
     digits at even offsets between spaces and a closing newline. Returns
     the bits of column ``width // 2``, the site :func:`rule30.center_column` tracks.
     """
-    width = grid.rows[-1].width
-    write(f"P1\n{width} {grid.height}\n")
+    write(f"P1\n{width} {height}\n")
     template = f"0{width}b"
     per_block = max(1, _PBM_BLOCK_BYTES // (2 * width))
     center = []
-    for start in range(0, grid.height, per_block):
-        rows = grid.rows[start:start + per_block]
-        text = "".join(format(row.bits << (width - row.width) // 2, template)
-                       for row in rows)
+    while rows := [format(bits << (width - w) // 2, template)
+                   for w, bits in itertools.islice(generations, per_block)]:
         block = np.full((len(rows), 2 * width), ord(" "), dtype=np.uint8)
-        block[:, ::2] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(
-            len(rows), width)
+        block[:, ::2] = np.frombuffer("".join(rows).encode("ascii"), np.uint8).reshape(-1, width)
         block[:, -1] = ord("\n")
         center.append(block[:, width // 2 * 2] - ord("0"))
         write(block.tobytes().decode("ascii"))
@@ -292,8 +291,10 @@ def _cmd_rule30(args) -> int:
     if args.pbm is None:
         column = rule30.center_column(initial, args.steps, mode)
     else:
+        # The caps are checked here, before the file is opened.
+        width, generations = rule30._grid(initial, args.steps, mode)
         with _output(args.pbm) as write:
-            column = _write_pbm(write, rule30.evolve(initial, args.steps, mode))
+            column = _write_pbm(write, width, args.steps + 1, generations)
     if args.center is not None:
         lines = np.full((len(column), 2), ord("\n"), dtype=np.uint8)
         lines[:, 0] = column + ord("0")

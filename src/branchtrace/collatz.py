@@ -644,17 +644,20 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     l_count = np.zeros(size, dtype=np.int64)
     codes = np.zeros(size, dtype=np.uint8)
     big_peaks: dict[int, int] = {}
-    at_one = rule.mode is StopMode.AT_ONE
+    at_one = StopRule.at_one(rule.max_steps)
     if hi <= _INT64_INPUT_LIMIT:
         peaks = np.arange(lo, hi + 1, dtype=np.int64)
         for base in range(0, size, _CHUNK):
-            _survey_chunk(lo, base, min(base + _CHUNK, size), StopRule.at_one(rule.max_steps),
-                          steps, l_count, peaks, codes, big_peaks)
-        exact = [] if at_one else _repeat_rows(lo, rule.max_steps, steps, codes)
+            _survey_chunk(lo, base, min(base + _CHUNK, size), at_one, steps, l_count, peaks,
+                          codes, big_peaks)
     else:
         peaks = np.zeros(size, dtype=np.int64)
-        exact = range(size)
-    _exact_rows(lo, exact, rule, steps, l_count, peaks, codes, big_peaks)
+        _exact_rows(lo, range(size), at_one, steps, l_count, peaks, codes, big_peaks)
+    # At every magnitude, ON_REPEAT rows are the AT_ONE rows turned by
+    # _repeat_rows; only the rows it leaves are walked again.
+    if rule.mode is StopMode.ON_REPEAT:
+        _exact_rows(lo, _repeat_rows(lo, rule.max_steps, steps, codes), rule, steps, l_count,
+                    peaks, codes, big_peaks)
 
     return SurveyResult(
         lo=lo,

@@ -34,8 +34,10 @@ class BlockLengthError(DomainError):
     """An absorbed block does not have the required length."""
 
 
-def require_int(value, name: str, least: int) -> None:
+def require_int(value, name: str, least: int | None = None) -> None:
     """Raise :class:`DomainError` unless ``value`` is an int, not a bool,
-    of at least ``least``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    of at least ``least`` when one is given."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+            least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")

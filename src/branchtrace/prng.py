@@ -38,6 +38,7 @@ class XorShift64Star:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        require_int(seed, "seed")  # any int: it is masked to 64 bits
         state = seed & _MASK64
         self.state = state if state != 0 else _ZERO_SEED_REPLACEMENT
 

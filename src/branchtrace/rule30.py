@@ -19,7 +19,9 @@ step, which is how the familiar single-cell triangle develops.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +32,9 @@ RULE_NUMBER = 30
 
 WIDTH_CAP = 1 << 20
 STEP_CAP = 1 << 20
+# Most cells, final width x (steps + 1), in a grid from evolve or the CLI's
+# PBM: 2^28 cells are 512 MiB of PBM text, or 32 MiB of packed rows.
+CELL_CAP = 1 << 28
 
 
 class BoundaryMode(enum.Enum):
@@ -103,30 +108,39 @@ class Grid:
         return len(self.rows)
 
 
-def _step_bits(bits: int, width: int, mode: BoundaryMode) -> tuple[int, int]:
-    """One update of a packed row; returns (new bits, new width)."""
+def _generations(initial: Row, mode: BoundaryMode) -> Iterator[tuple[int, int]]:
+    """(width, bits) of generations 0, 1, 2, ... from ``initial``, without end.
+
+    WRAP reads each cell's neighbors off the row rotated one cell each way.
+    EXPAND_ZERO keeps the row anchored at bit 0: new bit q reads old bits
+    q, q - 1 and q - 2, so the row gains two bits a step and zeros lie
+    past both old edges, with no mask needed.
+    """
+    width, bits = initial.width, initial.bits
+    yield width, bits
     if mode is BoundaryMode.WRAP:
-        mask = (1 << width) - 1
-        left = (bits >> 1) | ((bits & 1) << (width - 1))
-        right = ((bits << 1) | (bits >> (width - 1))) & mask
-        return left ^ (bits | right), width
-    # EXPAND_ZERO: embed the row with one background cell per side, then
-    # the same shift alignment reads zeros past both old edges.
-    center = bits << 1
-    new_width = width + 2
-    mask = (1 << new_width) - 1
-    left = center >> 1
-    right = (center << 1) & mask
-    return (left ^ (center | right)) & mask, new_width
+        mask, top = (1 << width) - 1, width - 1
+        while True:
+            left = (bits >> 1) | ((bits & 1) << top)
+            right = ((bits << 1) | (bits >> top)) & mask
+            bits = left ^ (bits | right)
+            yield width, bits
+    while True:
+        bits ^= (bits << 1) | (bits << 2)
+        width += 2
+        yield width, bits
 
 
 def step_row(row: Row, mode: BoundaryMode) -> Row:
     """Advance one generation under the given boundary convention."""
-    bits, width = _step_bits(row.bits, row.width, mode)
-    return Row(width, bits)
+    generations = _generations(row, mode)
+    next(generations)
+    return Row(*next(generations))
 
 
-def _check_caps(initial: Row, steps: int, mode: BoundaryMode) -> None:
+def _check_caps(initial: Row, steps: int, mode: BoundaryMode) -> int:
+    """Refuse ``steps`` past STEP_CAP or a final row past WIDTH_CAP; returns
+    the final row's width."""
     require_int(steps, "steps", 0)
     if steps > STEP_CAP:
         raise ResourceError(f"steps {steps} exceeds cap {STEP_CAP}")
@@ -135,17 +149,27 @@ def _check_caps(initial: Row, steps: int, mode: BoundaryMode) -> None:
         final_width += 2 * steps
     if final_width > WIDTH_CAP:
         raise ResourceError(f"width {final_width} exceeds cap {WIDTH_CAP}")
+    return final_width
+
+
+def _grid(initial: Row, steps: int, mode: BoundaryMode) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The final width and the (width, bits) of generations 0..steps, once
+    every cap holds: a grid past CELL_CAP is refused before any stepping."""
+    final_width = _check_caps(initial, steps, mode)
+    cells = final_width * (steps + 1)
+    if cells > CELL_CAP:
+        raise ResourceError(f"grid of {cells} cells exceeds cap {CELL_CAP}")
+    return final_width, itertools.islice(_generations(initial, mode), steps + 1)
 
 
 def evolve(initial: Row, steps: int, mode: BoundaryMode) -> Grid:
-    """Grid of ``steps + 1`` rows, the initial row first."""
-    _check_caps(initial, steps, mode)
-    rows = [initial]
-    bits, width = initial.bits, initial.width
-    for _ in range(steps):
-        bits, width = _step_bits(bits, width, mode)
-        rows.append(Row(width, bits))
-    return Grid(tuple(rows), mode)
+    """Grid of ``steps + 1`` rows, the initial row first.
+
+    A grid of more than CELL_CAP cells (final width x rows) raises
+    :class:`ResourceError` before any stepping.
+    """
+    _, generations = _grid(initial, steps, mode)
+    return Grid(tuple(Row(width, bits) for width, bits in generations), mode)
 
 
 # Steps between trims of an EXPAND_ZERO row to the tracked site's light cone.
@@ -163,18 +187,13 @@ def center_column(initial: Row, steps: int, mode: BoundaryMode) -> np.ndarray:
     _check_caps(initial, steps, mode)
     bits, width = initial.bits, initial.width
     pos = width - 1 - width // 2  # bit position of the tracked site
-    out = bytearray([(bits >> pos) & 1])
-    emit = out.append
     if mode is BoundaryMode.WRAP:
-        mask, top = (1 << width) - 1, width - 1
-        for _ in range(steps):
-            left = (bits >> 1) | ((bits & 1) << top)
-            right = ((bits << 1) | (bits >> top)) & mask
-            bits = left ^ (bits | right)
-            emit((bits >> pos) & 1)
+        generations = itertools.islice(_generations(initial, mode), steps + 1)
+        out = bytearray([(bits >> pos) & 1 for _, bits in generations])
     else:
-        # The _step_bits update with the row kept anchored at bit 0: new
-        # bit q reads old bits q, q - 1 and q - 2, so the site rises one
+        out = bytearray([(bits >> pos) & 1])
+        emit = out.append
+        # The EXPAND_ZERO update of _generations, so the site rises one
         # position per step. With r steps left only bits within r of the
         # site can still reach it; the trim drops the rest. Zeros shifted
         # in below corrupt two more low bits per step, as fast as the

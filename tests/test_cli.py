@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -344,6 +345,42 @@ def test_rule30_pbm_and_center_step_the_automaton_once(monkeypatch, tmp_path, go
     assert cli.main(["rule30", *map(str, args), "--pbm", str(pbm), "--center", str(center)]) == 0
     assert pbm.read_bytes() == (golden_dir / f"{golden}.pbm").read_bytes()
     assert center.read_bytes() == (golden_dir / f"{golden}_center.txt").read_bytes()
+
+
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("args, golden", RULE30_GOLDENS)
+def test_rule30_pbm_streams_without_a_grid(monkeypatch, tmp_path, golden_dir, args, golden,
+                                           center):
+    # The PBM is formatted as the generations come, so no grid is kept.
+    def refuse(*_):
+        raise AssertionError("the CLI built the whole grid")
+
+    monkeypatch.setattr(cli.rule30, "evolve", refuse)
+    monkeypatch.setattr(cli.rule30, "Grid", refuse)
+    pbm, column = tmp_path / "g.pbm", tmp_path / "c.txt"
+    argv = ["rule30", *map(str, args), "--pbm", str(pbm)]
+    assert cli.main(argv + ["--center", str(column)] * center) == 0
+    assert pbm.read_bytes() == (golden_dir / f"{golden}.pbm").read_bytes()
+    if center:
+        assert column.read_bytes() == (golden_dir / f"{golden}_center.txt").read_bytes()
+
+
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("args", [
+    # 2^20 - 1 cells wide and 2^19 rows: inside the width and step caps,
+    # but the PBM would be about 1 TB.
+    ("--steps", 524287),
+    ("--init", "single", "--width", 1048575, "--mode", "wrap", "--steps", 1048576),
+])
+def test_rule30_grid_over_the_cell_cap_is_refused_before_any_file(tmp_path, capsys, args,
+                                                                  center):
+    pbm, column = tmp_path / "g.pbm", tmp_path / "c.txt"
+    argv = ["rule30", *map(str, args), "--pbm", str(pbm)]
+    start = time.perf_counter()
+    assert cli.main(argv + ["--center", str(column)] * center) == 2
+    assert time.perf_counter() - start < 1
+    assert "cells exceeds cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [

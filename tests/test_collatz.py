@@ -578,6 +578,26 @@ def test_survey_on_repeat_window_at_the_int64_input_limit():
     assert_big_placeholders(result)
 
 
+@pytest.mark.parametrize("lo", [(1 << 62) + 1, 1 << 64, 1 << 100])
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 50, None])
+def test_survey_on_repeat_above_the_int64_input_limit(lo, cap):
+    # Past the limit the AT_ONE rows come from the exact stepper, and the
+    # ON_REPEAT rows from them plus the step 1 -> 4, as below it.
+    result = collatz.survey(lo, lo + 40, collatz.StopRule.on_repeat(*([cap] if cap else [])))
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result)
+
+
+@pytest.mark.parametrize("lo", [(1 << 62) + 1, 1 << 100])
+def test_survey_on_repeat_above_the_limit_with_a_cap_at_one(lo):
+    # A cap that falls on a row's arrival at 1 leaves no step for the repeat.
+    cap = collatz.trace(lo + 3).steps
+    result = collatz.survey(lo, lo + 40, collatz.StopRule.on_repeat(cap))
+    assert_rows_exact(result, range(len(result)))
+    rec = result.record(3)
+    assert (rec.steps, rec.stop_reason) == (cap, collatz.StopReason.STEP_CAP_EXCEEDED)
+
+
 # ------------------------------------------------- merged lanes and the tail
 
 

@@ -75,6 +75,7 @@ CENTER_STEPS = (0, 1, 2, 12, _K - 1, _K, _K + 1, 2 * _K + 1)
 
 @pytest.mark.parametrize("mode", [BoundaryMode.WRAP, BoundaryMode.EXPAND_ZERO])
 def test_center_column_matches_grid(mode):
+    # evolve and step_row too, down to widths 1 and 2.
     wrap = mode is BoundaryMode.WRAP
     if wrap:
         initials = [rule30.random_row(w, s) for w in (1, 2, 3, 9, 1024) for s in (3, 4)]
@@ -83,6 +84,9 @@ def test_center_column_matches_grid(mode):
             rule30.random_row(w, s) for w in (1, 2, 3, 64, 301) for s in (3, 4)]
     for initial in initials:
         rows = oracles.automaton_run(as_cells(initial), max(CENTER_STEPS), wrap)
+        grid = rule30.evolve(initial, max(CENTER_STEPS), mode)
+        assert [as_cells(row) for row in grid.rows] == rows, initial
+        assert as_cells(rule30.step_row(initial, mode)) == rows[1], initial
         center = initial.width // 2
         expected = [row[center + (0 if wrap else t)] for t, row in enumerate(rows)]
         for steps in CENTER_STEPS:
@@ -124,6 +128,21 @@ def test_caps_are_enforced():
         rule30.center_column(Row.single(), rule30.WIDTH_CAP // 2, BoundaryMode.EXPAND_ZERO)
     with pytest.raises(ResourceError):
         rule30.random_row(rule30.WIDTH_CAP + 1, 0)
+    # Inside the width and step caps (2^20 - 1 cells wide, 2^19 rows), not the cell cap.
+    with pytest.raises(ResourceError, match="cells exceeds cap"):
+        rule30.evolve(Row.single(), rule30.STEP_CAP // 2 - 1, BoundaryMode.EXPAND_ZERO)
+
+
+@pytest.mark.parametrize("mode", [BoundaryMode.WRAP, BoundaryMode.EXPAND_ZERO])
+def test_cell_cap_counts_the_final_width_times_the_rows(monkeypatch, mode):
+    # 5 steps from width 5: 6 rows of 5 cells, or of 15 cells under EXPAND_ZERO.
+    cells = 6 * (15 if mode is BoundaryMode.EXPAND_ZERO else 5)
+    monkeypatch.setattr(rule30, "CELL_CAP", cells)
+    assert rule30.evolve(Row.single(5), 5, mode).height == 6
+    monkeypatch.setattr(rule30, "CELL_CAP", cells - 1)
+    with pytest.raises(ResourceError, match=f"grid of {cells} cells exceeds cap {cells - 1}"):
+        rule30.evolve(Row.single(5), 5, mode)
+    rule30.center_column(Row.single(5), 5, mode)  # keeps no grid, so has no cell cap
 
 
 def test_random_row_is_deterministic():

@@ -1,6 +1,6 @@
 """Every public integer parameter goes through ``errors.require_int``: a
 bool, a float, a numeric string or a value one below the least allowed
-raises :class:`DomainError` (a ``ValueError``)."""
+raises :class:`DomainError` (a ``ValueError``). Seeds take any int."""
 
 import pytest
 
@@ -57,3 +57,20 @@ def test_public_integer_parameters_reject_non_ints(call, least, bad):
     with pytest.raises(DomainError):
         call(bad(least))
     call(least)  # the least allowed value is accepted
+
+
+# (name, call taking the seed under test)
+SEED_SITES = [
+    ("prng.XorShift64Star:seed", XorShift64Star),
+    ("rule30.random_row:seed", lambda v: rule30.random_row(5, v)),
+    ("randstat.avalanche:seed", lambda v: randstat.avalanche(bytes, 1, 100, v)),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in SEED_SITES])
+@pytest.mark.parametrize("bad", [True, 2.0, "3", None], ids=repr)
+def test_seeds_reject_non_ints(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
+    for seed in (-1, 0, 1 << 70):  # any int: seeds are masked to 64 bits
+        call(seed)

@@ -11,11 +11,11 @@ in a child interpreter per tree, with ``PYTHONPATH`` set to that tree's
 both fingerprints; the exit status is 1 if any case differs, 2 if a
 tree cannot be exported or run, and 0 if every case is bit-identical.
 
-The full set is 427 cases over the survey kernel's boundaries: the
+The full set is 455 cases over the survey kernel's boundaries: the
 seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, the
-int64 input limit 2^62, dense ranges, chunk edges and caps that fall
-between the R and the L of a shortcut step. ``--quick`` runs a
-seconds-long subset.
+int64 input limit 2^62, ON_REPEAT windows wholly above it, dense ranges,
+chunk edges and caps that fall between the R and the L of a shortcut
+step. ``--quick`` runs a seconds-long subset of 25.
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ def _below(e: int, size: int = 1501) -> tuple[int, int]:
     return (1 << e) - size + 1, 1 << e
 
 
+# Starts of 256-input windows wholly above the int64 input limit, 2^62.
+_ABOVE_LIMIT = ((1 << 62) + 1, 1 << 64, 1 << 100, (1 << 200) + 7)
+
+
 def full_cases() -> list[tuple]:
     cases = []
     for lo, hi in _exact_wide_windows():
@@ -95,6 +99,8 @@ def full_cases() -> list[tuple]:
               for cap in (1, 2, 3, 4, 5, 20, 50, 100, 101, 300, 500, 699, 700, UNCAPPED)]
     cases += [_case(*edge, "repeat", cap) for cap in (UNCAPPED, 50, 500)]
     cases += _both_modes([((1 << 62) - 100, (1 << 62) + 1)], (7, 300, UNCAPPED))
+    cases += [_case(lo, lo + 255, "repeat", cap) for lo in _ABOVE_LIMIT
+              for cap in (1, 2, 3, 5, 50, 500, UNCAPPED)]
     cases += _both_modes([(1, 10**6), (1, 2**17 + 1000)], (1, 2, 3, 4, UNCAPPED))
     dense = [(5, 3 * 10**5), (77777, 500000), (40000, 200001), (2, 3), (3, 3), (1, 1),
              (4, 9), (1, 121000), (1, 24200), (1, 60500), (27, 60), (1000, 1400)]
@@ -112,6 +118,7 @@ def quick_cases() -> list[tuple]:
     cases += _both_modes([(27, 60), (2, 3), (1, 1)], (3, UNCAPPED))
     cases += [_case(*_below(61, 301), "one", cap) for cap in (UNCAPPED, 100)]
     cases += _both_modes([((1 << 62) - 100, (1 << 62) + 1)], (7, UNCAPPED))
+    cases.append(_case(1 << 64, (1 << 64) + 255, "repeat", UNCAPPED))
     return cases
 
 
