@@ -81,28 +81,24 @@ def _read_bytes(path: str) -> bytes:
 
 
 @contextlib.contextmanager
-def _output(path: str | None) -> Iterator[Callable[[str], object]]:
-    """A write function for a file, or stdout when path is None.
+def _output(path: str | None) -> Iterator[Callable[[bytes], object]]:
+    """A write function taking ASCII bytes, for a file or, when path is
+    None, for stdout, which may be a text stream with no binary buffer.
 
     Failures to open or write the file are exit 3.
     """
     if path is None:
-        yield sys.stdout.write
+        yield lambda data: sys.stdout.write(data.decode("ascii"))
         return
     try:
-        with open(path, "w", encoding="ascii", newline="") as handle:
+        with open(path, "wb") as handle:
             yield handle.write
     except OSError as err:
         raise _CliError(3, f"cannot write {path}: {err}")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    with _output(path) as write:
-        write(text)
-
-
 def _emit_json(payload) -> None:
-    _write_text(None, json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _decimal(value: int) -> str:
@@ -134,20 +130,20 @@ def _cmd_trace(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     else:
-        _write_text(None, "".join(f"{k}={v}\n" for k, v in payload.items()))
+        sys.stdout.write("".join(f"{k}={v}\n" for k, v in payload.items()))
     return 0
 
 
 def _cmd_invert(args) -> int:
     value = collatz.decode(args.trace, args.terminal)
-    _write_text(None, _decimal(value) + "\n")
+    sys.stdout.write(_decimal(value) + "\n")
     return 0
 
 
 # --------------------------------------------------------------- survey
 
-# Rows per written block; bounds the text held at once (2^16 was no faster).
-_BLOCK = 1 << 14
+# Rows per written block; bounds the text held at once.
+_BLOCK = 1 << 12
 _REASONS = np.array([reason.value for reason in collatz._REASON_CODES], dtype="S")
 
 
@@ -192,7 +188,7 @@ def _write_rows(write, keys: tuple[str, ...], columns: tuple, indent: int | None
     escaping, so the JSON matches json.dumps(indent=2) byte for byte.
     """
     if indent is None:
-        write(",".join(keys) + "\n")
+        write(",".join(keys).encode("ascii") + b"\n")
         pieces = ["", *[","] * (len(keys) - 1), "\n"]
     else:
         pad = " " * (indent + 2)
@@ -214,9 +210,9 @@ def _write_rows(write, keys: tuple[str, ...], columns: tuple, indent: int | None
         block = np.concatenate([np.broadcast_to(p, (size, p.shape[-1])) for p in parts], axis=1)
         if start == 0 and indent is not None:
             block[0, 0] = ord("[")
-        write(block.tobytes().translate(None, b"\0").decode("ascii"))
+        write(block.tobytes().translate(None, b"\0"))
     if indent is not None:
-        write("\n" + " " * indent + "]" if len(columns[0]) else "[]")
+        write(b"\n" + b" " * indent + b"]" if len(columns[0]) else b"[]")
 
 
 _SURVEY_HEADER = ("n", "steps", "peak", "l_count", "stop_reason")
@@ -234,14 +230,14 @@ def _cmd_survey(args) -> int:
         _write_rows(write, _SURVEY_HEADER, columns, None if args.format == "csv" else 0,
                     (2, result.big_peaks))
         if args.format == "json":
-            write("\n")
+            write(b"\n")
     return 0
 
 
 # --------------------------------------------------------------- rule30
 
 
-def _initial_row(args) -> rule30.Row:
+def _initial_row(args, mode: rule30.BoundaryMode) -> rule30.Row:
     if args.init == "single":
         if args.width is None:
             if args.mode == "wrap":
@@ -250,6 +246,8 @@ def _initial_row(args) -> rule30.Row:
         return rule30.Row.single(args.width)
     if args.width is None:
         raise _CliError(2, "--init random requires --width")
+    # Sizes are refused first: a random row takes time linear in its width.
+    rule30._check_caps(args.width, args.steps, mode, grid=args.pbm is not None)
     return rule30.random_row(args.width, args.seed)
 
 
@@ -267,7 +265,7 @@ def _write_pbm(write, width: int, height: int, generations) -> np.ndarray:
     digits at even offsets between spaces and a closing newline. Returns
     the bits of column ``width // 2``, the site :func:`rule30.center_column` tracks.
     """
-    write(f"P1\n{width} {height}\n")
+    write(f"P1\n{width} {height}\n".encode("ascii"))
     template = f"0{width}b"
     per_block = max(1, _PBM_BLOCK_BYTES // (2 * width))
     center = []
@@ -277,7 +275,7 @@ def _write_pbm(write, width: int, height: int, generations) -> np.ndarray:
         block[:, ::2] = np.frombuffer("".join(rows).encode("ascii"), np.uint8).reshape(-1, width)
         block[:, -1] = ord("\n")
         center.append(block[:, width // 2 * 2] - ord("0"))
-        write(block.tobytes().decode("ascii"))
+        write(block.tobytes())
     return np.concatenate(center)
 
 
@@ -287,7 +285,7 @@ def _cmd_rule30(args) -> int:
     if args.mode is None:
         args.mode = "expand" if args.init == "single" else "wrap"
     mode = rule30.BoundaryMode(args.mode)
-    initial = _initial_row(args)
+    initial = _initial_row(args, mode)
     if args.pbm is None:
         column = rule30.center_column(initial, args.steps, mode)
     else:
@@ -298,7 +296,8 @@ def _cmd_rule30(args) -> int:
     if args.center is not None:
         lines = np.full((len(column), 2), ord("\n"), dtype=np.uint8)
         lines[:, 0] = column + ord("0")
-        _write_text(args.center, lines.tobytes().decode("ascii"))
+        with _output(args.center) as write:
+            write(lines.tobytes())
     return 0
 
 
@@ -361,9 +360,9 @@ def _cmd_bound(args) -> int:
             "capped": [str(v) for v in report.capped],
         }, indent=2)
         # Reopen the object to append "records" as its last field.
-        write(head[:-2] + ',\n  "records": ')
+        write(head[:-2].encode("ascii") + b',\n  "records": ')
         _write_rows(write, _BOUND_HEADER, columns, 2)
-        write("\n}\n")
+        write(b"\n}\n")
     return 0
 
 
@@ -382,7 +381,7 @@ def _cmd_digest(args) -> int:
     out = value.hex() + "\n"
     if args.emit_trace:
         out += trace + "\n"
-    _write_text(None, out)
+    sys.stdout.write(out)
     return 0
 
 

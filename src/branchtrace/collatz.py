@@ -49,7 +49,8 @@ _INT64_STEP_GUARD = ((1 << 63) - 2) // 3
 _INT64_INPUT_LIMIT = 1 << 62
 _INT64_MAX = (1 << 63) - 1
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 16
+_RANK = 1 << 13  # rows per block when the survey ranks descent chains in row order
 _TAIL = 32  # lanes left when the survey lockstep hands each to the exact stepper
 _MERGE_EVERY = 32  # rounds between lane merges in the survey lockstep, after 2, 4 and 8
 
@@ -553,10 +554,12 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
         # Lanes at one value share their future, so unless an eighth of the
         # live lanes retired since the last merge round (as in dense ranges),
         # only the lane of least peak so far in each group steps on, big
-        # lanes ranked by exact peak. The rest retire with it as target,
-        # keeping steps and halvings minus its own (maybe <= 0) and their own
-        # peak: that is no less than the leader's peak so far, so the max of
-        # it and the leader's total is exact.
+        # lanes ranked by exact peak and ties going to the lowest row (lanes
+        # stay in row order). The rest retire with it as target, keeping
+        # steps and halvings minus its own (maybe <= 0) and their own peak:
+        # that is no less than the leader's peak so far, so the max of it and
+        # the leader's total is exact. A lane in an earlier ranking block than
+        # its leader steps on, so no target is in a later block than its row.
         if 8 * (checked - lane.size) < lane.size:
             big = np.nonzero(top == _INT64_MAX)[0]
             exact = [big_peaks[base + row] for row in lane[big].tolist()]
@@ -566,33 +569,36 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             head = np.r_[True, np.diff(cur[order]) != 0]
             # The followers, and the leader (first in order) of each one's group.
             f, k = order[~head], order[np.nonzero(head)[0][np.cumsum(head) - 1]][~head]
+            follow = lane[f] // _RANK >= lane[k] // _RANK
+            f, k = f[follow], k[follow]
             j = lane[f]
             s[j] = ahead[f] - ahead[k]
             lc[j] = halves[f] - halves[k]
             pk[j] = top[f]
             target[j] = base + lane[k]
+            kept = np.ones(lane.size, dtype=bool)
+            kept[f] = False
             lane, span, cur, top, halves, ahead = _keep(
-                order[head], lane, span, cur, top, halves, ahead)
+                np.nonzero(kept)[0], lane, span, cur, top, halves, ahead)
         checked = lane.size
 
-    chained = target >= 0
-    early = np.nonzero(chained & (target < base))[0]
-    t = target[early]
-    s[early] += steps[t]
-    lc[early] += l_count[t]
-    pk[early] = np.maximum(pk[early], peaks[t])
-    # No stop codes from here: a chain that descends to a capped row tops the cap.
-    # Targets in the chunk are resolved by pointer jumping (Wyllie's list
-    # ranking): each round adds every row's target's totals to its own and
-    # makes the target's target its target, so d links take ceil(log2 d)
-    # rounds. Row ``size`` is the sentinel: nothing to add, and itself as target.
-    nxt = np.append(np.where(chained & (target >= base), target - base, size), size)
-    ranked = [np.append(a, 0) for a in (s, lc, pk, cd)]
-    while (nxt[:size] != size).any():
-        for column, op in zip(ranked, (np.add, np.add, np.maximum, np.maximum)):
-            op(column, column.take(nxt), out=column)
-        nxt = nxt.take(nxt)
-    s[:], lc[:], pk[:], cd[:] = (column[:size] for column in ranked)
+    # Rows are ranked in row order, _RANK at a time, by pointer jumping
+    # (Wyllie's list ranking): each round adds every row's target's totals to
+    # its own and makes the target's target its target, so d links take
+    # ceil(log2 d) rounds. No target is in a later block than its row (a
+    # descent target lies below it), so a target before the block is final
+    # and ends its row's chain. Stop codes ride along: a row chained to a
+    # capped one is redone below.
+    ops = (np.add, np.add, np.maximum, np.maximum)
+    for start in range(base, stop, _RANK):
+        link = target[start - base:start - base + _RANK].copy()
+        live = np.nonzero(link >= 0)[0]
+        while live.size:
+            k, rows = link[live], start + live
+            for column, op in zip((steps, l_count, peaks, codes), ops):
+                column[rows] = op(column[rows], column[k])
+            link[live] = np.where(k >= start, link[(k - start).clip(0)], -1)
+            live = live[link[live] >= 0]
 
     # Only big rows hold 2^63 - 1, so the max along a chain marks them; the
     # exact peak is the largest ``big_peaks`` entry on the chain.
@@ -603,7 +609,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             link = int(target[link - base]) if link >= base else -1
         big_peaks[base + row] = peak
     # A row chained to a capped one, or whose total tops the cap, is redone.
-    redo = np.nonzero(chained & ((cd != 0) | (s > max_steps)))[0]
+    redo = np.nonzero((target >= 0) & ((cd != 0) | (s > max_steps)))[0]
     _exact_rows(lo, (base + redo).tolist(), rule, steps, l_count, peaks, codes, big_peaks)
 
 

@@ -138,27 +138,28 @@ def step_row(row: Row, mode: BoundaryMode) -> Row:
     return Row(*next(generations))
 
 
-def _check_caps(initial: Row, steps: int, mode: BoundaryMode) -> int:
-    """Refuse ``steps`` past STEP_CAP or a final row past WIDTH_CAP; returns
-    the final row's width."""
+def _check_caps(width: int, steps: int, mode: BoundaryMode, grid: bool = False) -> int:
+    """Refuse ``steps`` past STEP_CAP, a final row past WIDTH_CAP and, for a
+    ``grid`` of every generation, more than CELL_CAP cells; returns the
+    final row's width. It takes the initial width, not the row, so a caller
+    can refuse sizes before building a row."""
     require_int(steps, "steps", 0)
     if steps > STEP_CAP:
         raise ResourceError(f"steps {steps} exceeds cap {STEP_CAP}")
-    final_width = initial.width
+    final_width = width
     if mode is BoundaryMode.EXPAND_ZERO:
         final_width += 2 * steps
     if final_width > WIDTH_CAP:
         raise ResourceError(f"width {final_width} exceeds cap {WIDTH_CAP}")
+    if grid and (cells := final_width * (steps + 1)) > CELL_CAP:
+        raise ResourceError(f"grid of {cells} cells exceeds cap {CELL_CAP}")
     return final_width
 
 
 def _grid(initial: Row, steps: int, mode: BoundaryMode) -> tuple[int, Iterator[tuple[int, int]]]:
     """The final width and the (width, bits) of generations 0..steps, once
     every cap holds: a grid past CELL_CAP is refused before any stepping."""
-    final_width = _check_caps(initial, steps, mode)
-    cells = final_width * (steps + 1)
-    if cells > CELL_CAP:
-        raise ResourceError(f"grid of {cells} cells exceeds cap {CELL_CAP}")
+    final_width = _check_caps(initial.width, steps, mode, grid=True)
     return final_width, itertools.islice(_generations(initial, mode), steps + 1)
 
 
@@ -184,7 +185,7 @@ def center_column(initial: Row, steps: int, mode: BoundaryMode) -> np.ndarray:
     EXPAND_ZERO the site shifts by one index per generation as the row
     grows on the left. Rows are not retained, so long columns are cheap.
     """
-    _check_caps(initial, steps, mode)
+    _check_caps(initial.width, steps, mode)
     bits, width = initial.bits, initial.width
     pos = width - 1 - width // 2  # bit position of the tracked site
     if mode is BoundaryMode.WRAP:
@@ -216,7 +217,6 @@ def random_row(width: int, seed: int) -> Row:
     if width > WIDTH_CAP:
         raise ResourceError(f"width {width} exceeds cap {WIDTH_CAP}")
     gen = XorShift64Star(seed)
-    bits = 0
-    for _ in range(width):
-        bits = (bits << 1) | gen.next_bit()
-    return Row(width, bits)
+    # One conversion of the whole text: shifting a growing int once per bit
+    # takes time quadratic in the width.
+    return Row(width, int("".join([str(gen.next_bit()) for _ in range(width)]), 2))

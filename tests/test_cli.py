@@ -5,6 +5,7 @@ exit codes, stdout/stderr routing, and file outputs are all exercised
 exactly as a user sees them.
 """
 
+import contextlib
 import io
 import json
 import subprocess
@@ -179,6 +180,23 @@ def test_row_writers_match_golden_bytes(tmp_path, golden_dir, args, golden):
     assert out.read_bytes() == want
 
 
+@pytest.mark.parametrize("args, golden", [
+    (("survey", "1", "40"), "survey_1_40.csv"),
+    (("bound", "1", "16", "--format", "json"), "bound_1_16.json"),
+])
+def test_row_writers_in_process_match_golden_bytes(tmp_path, golden_dir, args, golden):
+    # Files are written through a binary handle; stdout takes text, as a
+    # captured stream such as io.StringIO has no binary buffer.
+    want = (golden_dir / golden).read_bytes()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(list(args)) == 0
+    assert stdout.getvalue().encode("ascii") == want
+    out = tmp_path / golden
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+
+
 @pytest.mark.parametrize("rows", [0, 1, 3])
 @pytest.mark.parametrize("indent", [0, 2])
 def test_json_row_writer_lays_out_like_json_dumps(rows, indent):
@@ -186,14 +204,14 @@ def test_json_row_writer_lays_out_like_json_dumps(rows, indent):
     records = [{"n": str(n), "b_bits": str(n.bit_length())} for n in range(1, rows + 1)]
     columns = tuple(np.array([int(r[key]) for r in records], dtype=np.int64)
                     for key in ("n", "b_bits"))
-    out = io.StringIO()
+    out = io.BytesIO()
     cli._write_rows(out.write, ("n", "b_bits"), columns, indent)
     if indent == 0:
         want = json.dumps(records, indent=2)
     else:
         want = json.dumps({"records": records}, indent=2)
         want = want[len('{\n  "records": '):-len("\n}")]
-    assert out.getvalue() == want
+    assert out.getvalue() == want.encode("ascii")
 
 
 def _reference_rows(keys, rows, indent):
@@ -248,15 +266,17 @@ _ROW_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [1, 7, 64, cli._BLOCK])
+# Blocks of one row, blocks that do not divide the rows, the default, and
+# 2^14 rows, more than any case holds.
+@pytest.mark.parametrize("block", [1, 7, 64, cli._BLOCK, 1 << 14])
 @pytest.mark.parametrize("indent", [None, 0, 2])
 @pytest.mark.parametrize("case", list(_ROW_CASES))
 def test_row_writer_matches_str_and_json_dumps(monkeypatch, case, indent, block):
     keys, columns, big, rows = _ROW_CASES[case]()
     monkeypatch.setattr(cli, "_BLOCK", block)
-    out = io.StringIO()
+    out = io.BytesIO()
     cli._write_rows(out.write, keys, columns, indent, big)
-    assert out.getvalue() == _reference_rows(keys, rows, indent)
+    assert out.getvalue() == _reference_rows(keys, rows, indent).encode("ascii")
 
 
 @pytest.mark.parametrize("args, case", [
@@ -371,9 +391,15 @@ def test_rule30_pbm_streams_without_a_grid(monkeypatch, tmp_path, golden_dir, ar
     # but the PBM would be about 1 TB.
     ("--steps", 524287),
     ("--init", "single", "--width", 1048575, "--mode", "wrap", "--steps", 1048576),
+    # Refused from --width and --steps, before the random row is built.
+    ("--init", "random", "--width", 262144, "--steps", 1048576),
 ])
-def test_rule30_grid_over_the_cell_cap_is_refused_before_any_file(tmp_path, capsys, args,
-                                                                  center):
+def test_rule30_grid_over_the_cell_cap_is_refused_before_any_file(monkeypatch, tmp_path, capsys,
+                                                                  args, center):
+    def refuse(*_):
+        raise AssertionError("the random row was built before the caps were checked")
+
+    monkeypatch.setattr(cli.rule30, "random_row", refuse)
     pbm, column = tmp_path / "g.pbm", tmp_path / "c.txt"
     argv = ["rule30", *map(str, args), "--pbm", str(pbm)]
     start = time.perf_counter()

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -439,11 +440,16 @@ def test_survey_descents_below_lo(lo, hi):
     assert any(t < lo for t in targets) and any(t >= lo for t in targets)
 
 
-def test_survey_chunk_edges_with_earlier_and_same_chunk_targets():
+# Rows per ranking block: one, 7 (no divisor of a chunk), 64 and the default.
+RANKS = (1, 7, 64, collatz._RANK)
+
+
+def test_survey_chunk_edges_with_earlier_and_same_chunk_targets(monkeypatch):
     chunk = collatz._CHUNK
-    result = collatz.survey(1, 2 * chunk + 60)
     offsets = [*range(chunk - 60, chunk + 60), *range(2 * chunk - 60, 2 * chunk + 60)]
-    assert_rows_exact(result, offsets)
+    for rank in RANKS:
+        monkeypatch.setattr(collatz, "_RANK", rank)
+        assert_rows_exact(collatz.survey(1, 2 * chunk + 60), offsets)
     same = earlier = 0
     for offset in offsets:
         target = descent(1 + offset)[0] - 1
@@ -455,13 +461,15 @@ def test_survey_chunk_edges_with_earlier_and_same_chunk_targets():
 
 
 @pytest.mark.parametrize("cap", [111, 110, 118, 117])
-def test_survey_cap_at_a_descending_rows_total(cap):
+def test_survey_cap_at_a_descending_rows_total(monkeypatch, cap):
     # With lo = 1 every row descends to a row in the range; 27 takes 111
     # steps in all and 97 takes 118.
-    result = collatz.survey(1, 120, collatz.StopRule.at_one(cap))
-    assert_rows_exact(result, range(len(result)))
-    for n, total in ((27, 111), (97, 118)):
-        assert (result.stop_codes[n - 1] == 0) == (cap >= total)
+    for rank in RANKS:
+        monkeypatch.setattr(collatz, "_RANK", rank)
+        result = collatz.survey(1, 120, collatz.StopRule.at_one(cap))
+        assert_rows_exact(result, range(len(result)))
+        for n, total in ((27, 111), (97, 118)):
+            assert (result.stop_codes[n - 1] == 0) == (cap >= total)
 
 
 @pytest.mark.parametrize("hi", [1 << 62, (1 << 62) + 1])
@@ -484,8 +492,10 @@ def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
     monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
     monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
     monkeypatch.setattr(collatz, "_CHUNK", chunk)
-    for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(60),
-                 collatz.StopRule.on_repeat(), collatz.StopRule.on_repeat(60)):
+    rules = (collatz.StopRule.at_one(), collatz.StopRule.at_one(60),
+             collatz.StopRule.on_repeat(), collatz.StopRule.on_repeat(60))
+    for rank, rule in itertools.product(RANKS, rules):
+        monkeypatch.setattr(collatz, "_RANK", rank)
         result = collatz.survey(1, 3000, rule)
         assert_rows_exact(result, range(len(result)))
         same_chunk = set()
@@ -666,14 +676,19 @@ def test_survey_followers_short_of_capped_leaders(monkeypatch, cap):
     # In an all-big group the leader, of least exact peak, can have spent
     # more steps on excursions than a follower, whose chained total then
     # falls short of the cap; the leader's stop code sends it to the exact
-    # stepper.
+    # stepper. Also with ranking blocks of 512 rows, where a lane in an
+    # earlier block than its leader steps on.
     guard = 2_000
     monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
     monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
     merges = spy_merges(monkeypatch)
-    result = collatz.survey(2200, 3000, collatz.StopRule.at_one(cap))
-    assert_rows_exact(result, range(len(result)))
-    assert any(delta < 0 and result.stop_codes[k] == 2 for _, k, delta, _ in merges)
+    for rank in (512, collatz._RANK):
+        monkeypatch.setattr(collatz, "_RANK", rank)
+        merges.clear()
+        result = collatz.survey(2200, 3000, collatz.StopRule.at_one(cap))
+        assert_rows_exact(result, range(len(result)))
+        assert any(delta < 0 and result.stop_codes[k] == 2 for _, k, delta, _ in merges)
+        assert all(f // rank >= k // rank for f, k, _, _ in merges)
 
 
 @pytest.mark.parametrize("tail", [0, 1, 32, 256])

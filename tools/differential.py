@@ -11,11 +11,11 @@ in a child interpreter per tree, with ``PYTHONPATH`` set to that tree's
 both fingerprints; the exit status is 1 if any case differs, 2 if a
 tree cannot be exported or run, and 0 if every case is bit-identical.
 
-The full set is 455 cases over the survey kernel's boundaries: the
+The full set is 463 cases over the survey kernel's boundaries: the
 seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, the
 int64 input limit 2^62, ON_REPEAT windows wholly above it, dense ranges,
 chunk edges and caps that fall between the R and the L of a shortcut
-step. ``--quick`` runs a seconds-long subset of 25.
+step. ``--quick`` runs a seconds-long subset of 26.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ def _below(e: int, size: int = 1501) -> tuple[int, int]:
 _ABOVE_LIMIT = ((1 << 62) + 1, 1 << 64, 1 << 100, (1 << 200) + 7)
 
 
+_MULTI_CHUNK = ((1001, 3 * 2**17 + 5000), (200003, 200002 + 3 * 2**17))
+
+
 def full_cases() -> list[tuple]:
     cases = []
     for lo, hi in _exact_wide_windows():
@@ -105,6 +108,11 @@ def full_cases() -> list[tuple]:
     dense = [(5, 3 * 10**5), (77777, 500000), (40000, 200001), (2, 3), (3, 3), (1, 1),
              (4, 9), (1, 121000), (1, 24200), (1, 60500), (27, 60), (1000, 1400)]
     cases += _both_modes(dense, (3, UNCAPPED))
+    # Dense ranges over at least three survey chunks with lo > 1; cap 50
+    # redoes most rows after the chains are ranked.
+    cases += [_case(lo, hi, "one", cap) for lo, hi in _MULTI_CHUNK for cap in (UNCAPPED, 3, 50)]
+    # A window over several ranking blocks, whose lanes meet lanes of other blocks.
+    cases += [_case(2**50 + 999, 2**50 + 999 + 3 * 2**13, "one", cap) for cap in (UNCAPPED, 100)]
     for cap in (5, 10, 20, 40, 60, 80, 100, 110, 111, 112,
                 117, 118, 119, 130, 150, 175, 200, 220, 240, 250):
         cases += _both_modes([(1, 3000)], (cap,))
@@ -119,6 +127,7 @@ def quick_cases() -> list[tuple]:
     cases += [_case(*_below(61, 301), "one", cap) for cap in (UNCAPPED, 100)]
     cases += _both_modes([((1 << 62) - 100, (1 << 62) + 1)], (7, UNCAPPED))
     cases.append(_case(1 << 64, (1 << 64) + 255, "repeat", UNCAPPED))
+    cases.append(_case(*_MULTI_CHUNK[0], "one", UNCAPPED))
     return cases
 
 
