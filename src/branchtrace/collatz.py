@@ -45,8 +45,6 @@ R = "R"
 
 # Largest int64 value whose odd step 3n+1 still fits in int64.
 _INT64_STEP_GUARD = ((1 << 63) - 2) // 3
-# Ranges starting above this go straight to the exact scalar path.
-_INT64_INPUT_LIMIT = 1 << 62
 _INT64_MAX = (1 << 63) - 1
 
 _CHUNK = 1 << 16
@@ -444,10 +442,10 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     Each row's lane steps until its value falls below its start while
     still in the range (its descent target) or reaches 1. The row's
     totals are then its own plus its target's: steps and halvings add,
-    peaks and stop codes take the max. A big row reads 2^63 - 1 in
-    ``peaks`` and keeps its exact peak in ``big_peaks``.
+    peaks and stop codes take the max.
     """
     max_steps, size, first = rule.max_steps, stop - base, lo + base
+    low = min(lo, _INT64_MAX)  # lo in int64 arithmetic; no lane past int64 descends
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
     # Offset of each row's descent target or leader; negative for none.
     target = np.full(size, -1, dtype=np.int64)
@@ -463,14 +461,14 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     n = max(5, first, (4 * lo + 1) // 3)
     odd = slice(n + (1 - n) % 4 - first,
                 max(0, min(size, _INT64_STEP_GUARD + 1 - first)) if max_steps >= 3 else 0, 4)
-    s[even], lc[even], target[even] = 1, 1, (pk[even] >> 1) - lo
+    s[even], lc[even], target[even] = 1, 1, (pk[even] >> 1) - low
     pk[odd] = 3 * pk[odd] + 1
-    s[odd], lc[odd], target[odd] = 3, 2, (pk[odd] >> 2) - lo
+    s[odd], lc[odd], target[odd] = 3, 2, (pk[odd] >> 2) - low
     lane = np.nonzero((target < 0) & (pk != 1))[0]
     cur = pk[lane]
     top = cur.copy()
     # lo <= cur < start  <=>  (cur - lo) < (start - lo), compared unsigned.
-    span = (cur - lo).view(np.uint64)
+    span = (cur - low).view(np.uint64)
     # Each lane's steps and halvings beyond the round count ``taken``; a
     # round is one shortcut step, so one halving.
     ahead = np.zeros(lane.size, dtype=np.int64)
@@ -480,10 +478,14 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     # at the start: a lockstep would have retired them by round 2, the first.
     checked = lane.size + len(range(size)[even]) + len(range(size)[odd])
     while lane.size:
+        # A lane at 2^63 - 1 is at its row's input, maybe clipped (see survey),
+        # so walks start it from the input: no round gives 2^62 or more, and an
+        # excursion ends at or below the guard, or at 0 when capped.
         if lane.size <= _TAIL:
             for k, row in enumerate(lane.tolist()):
-                before = taken + int(ahead[k])
-                walked, peak, halved, end, _ = _walk(int(cur[k]), max_steps - before)
+                before, start = taken + int(ahead[k]), int(cur[k])
+                walked, peak, halved, end, _ = _walk(
+                    start if start < _INT64_MAX else first + row, max_steps - before)
                 s[row], lc[row] = before + walked, taken + halves[k] + halved
                 pk[row], cd[row] = min(max(peak, int(top[k])), _INT64_MAX), 2 * (end > 1)
                 if pk[row] == _INT64_MAX:
@@ -517,12 +519,13 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
         if int(cur.max()) > _INT64_STEP_GUARD and (
                 hot := np.nonzero((cur > _INT64_STEP_GUARD) & (cur & 1 == 1))[0]).size:
             for k in hot.tolist():
-                walked, peak, halved, end, _ = _walk(
-                    int(cur[k]), max_steps - taken - int(ahead[k]), _INT64_STEP_GUARD)
+                row, start = base + int(lane[k]), int(cur[k])
+                walked, peak, halved, end, _ = _walk(start if start < _INT64_MAX else lo + row,
+                                                     max_steps - taken - int(ahead[k]),
+                                                     _INT64_STEP_GUARD)
                 ahead[k] += walked
                 halves[k] += halved
                 wide = max(wide, int(ahead[k]) - taken)
-                row = base + int(lane[k])
                 big_peaks[row] = max(peak, big_peaks.get(row, 0))
                 top[k] = _INT64_MAX
                 # A lane capped inside its excursion retires at the cap
@@ -539,7 +542,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
         # Only a halving brings a value below the start, so the check follows
         # the round. An R from below lo into the range is passed over; a
         # later value is as exact a target.
-        down = (cur - lo).view(np.uint64) < span
+        down = (cur - low).view(np.uint64) < span
         if lo > 1:
             down |= cur == 1
         if down.any():
@@ -547,7 +550,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             s[j] = taken + ahead[down]
             lc[j] = taken + halves[down]
             pk[j] = top[down]
-            target[j] = cur[down] - lo
+            target[j] = cur[down] - low
             lane, span, cur, top, halves, ahead = _keep(~down, lane, span, cur, top, halves, ahead)
         if taken % _MERGE_EVERY and taken not in (2, 4, 8):
             continue
@@ -650,17 +653,16 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     l_count = np.zeros(size, dtype=np.int64)
     codes = np.zeros(size, dtype=np.uint8)
     big_peaks: dict[int, int] = {}
+    # Each row's input, clipped to int64: an input past it reads 2^63 - 1, as
+    # a big row does, which it is, since its peak is at least its input.
+    peaks = (np.arange(lo, hi + 1, dtype=np.int64) if hi <= _INT64_MAX else
+             np.r_[np.arange(min(lo, _INT64_MAX), _INT64_MAX),
+                   np.full(min(size, hi - _INT64_MAX + 1), _INT64_MAX)])
     at_one = StopRule.at_one(rule.max_steps)
-    if hi <= _INT64_INPUT_LIMIT:
-        peaks = np.arange(lo, hi + 1, dtype=np.int64)
-        for base in range(0, size, _CHUNK):
-            _survey_chunk(lo, base, min(base + _CHUNK, size), at_one, steps, l_count, peaks,
-                          codes, big_peaks)
-    else:
-        peaks = np.zeros(size, dtype=np.int64)
-        _exact_rows(lo, range(size), at_one, steps, l_count, peaks, codes, big_peaks)
-    # At every magnitude, ON_REPEAT rows are the AT_ONE rows turned by
-    # _repeat_rows; only the rows it leaves are walked again.
+    for base in range(0, size, _CHUNK):
+        _survey_chunk(lo, base, min(base + _CHUNK, size), at_one, steps, l_count, peaks, codes,
+                      big_peaks)
+    # ON_REPEAT rows are the AT_ONE rows turned by _repeat_rows; the rows it leaves are redone.
     if rule.mode is StopMode.ON_REPEAT:
         _exact_rows(lo, _repeat_rows(lo, rule.max_steps, steps, codes), rule, steps, l_count,
                     peaks, codes, big_peaks)

@@ -56,16 +56,14 @@ class Row:
 
     @classmethod
     def from_bits(cls, cells) -> "Row":
-        bits = 0
-        width = 0
+        text = bytearray()
         for cell in cells:
             if cell not in (0, 1):
                 raise DomainError(f"cell values must be 0 or 1, got {cell!r}")
-            bits = (bits << 1) | cell
-            width += 1
-        if width == 0:
+            text.append(ord("0") + cell)
+        if not text:
             raise DomainError("a row needs at least one cell")
-        return cls(width, bits)
+        return cls(len(text), int(text, 2))  # one conversion; a shift per cell is quadratic
 
     @classmethod
     def from01(cls, text: str) -> "Row":

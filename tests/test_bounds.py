@@ -154,13 +154,14 @@ def test_bound_report_beyond_int64_inputs():
     ((1 << 40) - 3, (1 << 40) + 3),
     ((1 << 62) - 3, 1 << 62),
     ((1 << 62) - 3, (1 << 62) + 3),
+    ((1 << 63) - 7, (1 << 63) - 1),
     ((1 << 63) - 3, (1 << 63) + 3),
     ((1 << 70) - 3, (1 << 70) + 3),
 ])
 def test_bound_report_across_power_of_two_edges(lo, hi):
     report = bounds.bound_report(lo, hi)
-    # n stays int64 up to the survey's int64 input limit.
-    assert report.n.dtype == (np.int64 if hi <= 1 << 62 else object)
+    # n stays int64 while int64 holds every input, up to 2^63 - 1.
+    assert report.n.dtype == (np.int64 if hi <= (1 << 63) - 1 else object)
     assert report.b_bits.dtype == np.int64
     assert [rec.n for rec in report.records()] == list(range(lo, hi + 1))
     for rec in report.records():

@@ -263,6 +263,8 @@ _ROW_CASES = {
     "survey across 2^63": lambda: _survey_case(collatz.survey(2**63 - 9, 2**63 + 9)),
     "survey at 2^64": lambda: _survey_case(collatz.survey(2**64, 2**64 + 9)),
     "bound across 2^63": lambda: _bound_case(bounds.bound_report(2**63 - 9, 2**63 + 9)),
+    # n is an int64 column here, an object one across 2^63; the bytes agree.
+    "bound at 2^62 + 1": lambda: _bound_case(bounds.bound_report(2**62 + 1, 2**62 + 20)),
 }
 
 

@@ -474,7 +474,7 @@ def test_survey_cap_at_a_descending_rows_total(monkeypatch, cap):
 
 @pytest.mark.parametrize("hi", [1 << 62, (1 << 62) + 1])
 def test_survey_window_at_the_int64_input_limit(hi):
-    # hi = 2^62 is the last range on the int64 lanes; one more goes scalar.
+    # Windows that end at 2^62 and one past it run the same lockstep.
     result = collatz.survey(hi - 40, hi)
     assert_rows_exact(result, range(len(result)))
     assert len(result.big_peaks) > 10
@@ -591,8 +591,9 @@ def test_survey_on_repeat_window_at_the_int64_input_limit():
 @pytest.mark.parametrize("lo", [(1 << 62) + 1, 1 << 64, 1 << 100])
 @pytest.mark.parametrize("cap", [1, 2, 3, 5, 50, None])
 def test_survey_on_repeat_above_the_int64_input_limit(lo, cap):
-    # Past the limit the AT_ONE rows come from the exact stepper, and the
-    # ON_REPEAT rows from them plus the step 1 -> 4, as below it.
+    # Inputs past 2^62 step in the lockstep as below it, those past int64
+    # starting as excursion lanes; the ON_REPEAT rows are the AT_ONE rows
+    # plus the step 1 -> 4.
     result = collatz.survey(lo, lo + 40, collatz.StopRule.on_repeat(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result)
@@ -606,6 +607,29 @@ def test_survey_on_repeat_above_the_limit_with_a_cap_at_one(lo):
     assert_rows_exact(result, range(len(result)))
     rec = result.record(3)
     assert (rec.steps, rec.stop_reason) == (cap, collatz.StopReason.STEP_CAP_EXCEEDED)
+
+
+@pytest.mark.parametrize("tail", [0, 32])
+@pytest.mark.parametrize("lo", [(1 << 63) - 20, (1 << 63) - 1, 1 << 64, 3**90])
+@pytest.mark.parametrize("cap", [1, 2, 3, 60, None])
+def test_survey_inputs_past_int64_start_as_excursion_lanes(monkeypatch, tail, lo, cap):
+    # An input past int64 reads 2^63 - 1 in the lockstep, and its lane starts
+    # from the input: in the tail at round 0 (30 lanes, tail 32) or on an
+    # excursion (no tail). The exact stepper gets no whole window, only rows
+    # chained to capped ones.
+    monkeypatch.setattr(collatz, "_TAIL", tail)
+    starts, redone, exact_rows = spy_tail_starts(monkeypatch), [], collatz._exact_rows
+
+    def spy(lo, offsets, *args):
+        redone.extend(offsets)
+        return exact_rows(lo, offsets, *args)
+
+    monkeypatch.setattr(collatz, "_exact_rows", spy)
+    result = collatz.survey(lo, lo + 29, collatz.StopRule.at_one(*([cap] if cap else [])))
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result)
+    assert starts == (list(range(lo, lo + 30)) if tail else [])
+    assert cap or not redone
 
 
 # ------------------------------------------------- merged lanes and the tail

@@ -208,6 +208,12 @@ def test_bad_streams_rejected():
         randstat.monobit([0, 1, 2] * 40)
     with pytest.raises(DomainError):
         randstat.monobit(np.ones((10, 10), dtype=np.uint8))
+    with pytest.raises(DomainError):
+        randstat.monobit("01é" * 40)
+    with pytest.raises(DomainError):
+        randstat.monobit(np.zeros(0, dtype=np.uint8))
+    with pytest.raises(DomainError):
+        randstat.monobit(np.ones(120))
 
 
 # -------------------------------------------------------------- avalanche
@@ -222,6 +228,8 @@ def test_avalanche_identity_function():
 def test_avalanche_constant_function():
     rep = randstat.avalanche(lambda b: b"\x00" * 8, input_len=16, trials=100, seed=9)
     assert rep.mean == 0.0
+    rep = randstat.avalanche(lambda b: b"", input_len=16, trials=100, seed=9)
+    assert rep.mean == 0.0 and set(rep.fractions) == {0.0}
 
 
 def test_avalanche_deterministic_given_seed():

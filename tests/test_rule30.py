@@ -113,6 +113,8 @@ def test_row_validation():
     with pytest.raises(DomainError):
         Row.from_bits([0, 2])
     with pytest.raises(DomainError):
+        Row.from_bits([])
+    with pytest.raises(DomainError):
         Row.single(4)
     with pytest.raises(DomainError):
         Row.from01("101").cell(3)
@@ -189,5 +191,6 @@ def test_modes_agree_inside_the_light_cone(text, steps):
 def test_roundtrip_text_encoding(text):
     row = Row.from01(text)
     assert row.to01() == text
+    assert Row.from_bits(int(c) for c in text) == row
     assert row.to_bit_array().tolist() == [int(c) for c in text]
     assert row.ones() == text.count("1")

@@ -11,11 +11,12 @@ in a child interpreter per tree, with ``PYTHONPATH`` set to that tree's
 both fingerprints; the exit status is 1 if any case differs, 2 if a
 tree cannot be exported or run, and 0 if every case is bit-identical.
 
-The full set is 463 cases over the survey kernel's boundaries: the
-seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, the
-int64 input limit 2^62, ON_REPEAT windows wholly above it, dense ranges,
-chunk edges and caps that fall between the R and the L of a shortcut
-step. ``--quick`` runs a seconds-long subset of 26.
+The full set is 661 cases over the survey kernel's boundaries: the
+seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, windows
+across 2^62, across and at 2^63 - 1 (the last input int64 holds) and
+wholly past it up to 2^200, dense ranges, chunk edges and caps that fall
+between the R and the L of a shortcut step. ``--quick`` runs a
+seconds-long subset of 27.
 """
 
 from __future__ import annotations
@@ -84,8 +85,17 @@ def _below(e: int, size: int = 1501) -> tuple[int, int]:
     return (1 << e) - size + 1, 1 << e
 
 
-# Starts of 256-input windows wholly above the int64 input limit, 2^62.
-_ABOVE_LIMIT = ((1 << 62) + 1, 1 << 64, 1 << 100, (1 << 200) + 7)
+# Starts of 256-input ON_REPEAT windows above 2^62.
+_ABOVE_2P62 = ((1 << 62) + 1, 1 << 64, 1 << 100, (1 << 200) + 7)
+
+_INT64_MAX = (1 << 63) - 1
+# Windows across 2^62, across and at 2^63 - 1, and past int64, whose inputs
+# start as excursion lanes.
+_PAST_INT64 = [((1 << 62) - 300, (1 << 62) + 300), (_INT64_MAX - 300, _INT64_MAX + 300),
+               (_INT64_MAX - 255, _INT64_MAX),
+               *((lo, lo + 300) for lo in ((1 << 63), (1 << 64) - 700, (1 << 64) + 700,
+                                           (1 << 100) + 7, (1 << 123) - 600, (1 << 123) + 600,
+                                           (1 << 200) + 7, 3**90))]
 
 
 _MULTI_CHUNK = ((1001, 3 * 2**17 + 5000), (200003, 200002 + 3 * 2**17))
@@ -102,8 +112,9 @@ def full_cases() -> list[tuple]:
               for cap in (1, 2, 3, 4, 5, 20, 50, 100, 101, 300, 500, 699, 700, UNCAPPED)]
     cases += [_case(*edge, "repeat", cap) for cap in (UNCAPPED, 50, 500)]
     cases += _both_modes([((1 << 62) - 100, (1 << 62) + 1)], (7, 300, UNCAPPED))
-    cases += [_case(lo, lo + 255, "repeat", cap) for lo in _ABOVE_LIMIT
+    cases += [_case(lo, lo + 255, "repeat", cap) for lo in _ABOVE_2P62
               for cap in (1, 2, 3, 5, 50, 500, UNCAPPED)]
+    cases += _both_modes(_PAST_INT64, (1, 2, 3, 5, 20, 100, 250, 1000, UNCAPPED))
     cases += _both_modes([(1, 10**6), (1, 2**17 + 1000)], (1, 2, 3, 4, UNCAPPED))
     dense = [(5, 3 * 10**5), (77777, 500000), (40000, 200001), (2, 3), (3, 3), (1, 1),
              (4, 9), (1, 121000), (1, 24200), (1, 60500), (27, 60), (1000, 1400)]
@@ -127,6 +138,8 @@ def quick_cases() -> list[tuple]:
     cases += [_case(*_below(61, 301), "one", cap) for cap in (UNCAPPED, 100)]
     cases += _both_modes([((1 << 62) - 100, (1 << 62) + 1)], (7, UNCAPPED))
     cases.append(_case(1 << 64, (1 << 64) + 255, "repeat", UNCAPPED))
+    # No more rows than the tail takes, so every lane is a placeholder in it at round 0.
+    cases.append(_case((1 << 64) + 3, (1 << 64) + 32, "one", UNCAPPED))
     cases.append(_case(*_MULTI_CHUNK[0], "one", UNCAPPED))
     return cases
 
