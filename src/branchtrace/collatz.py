@@ -8,8 +8,10 @@ backwards from the terminal value and recovers the input.
 
 All arithmetic is exact. Values routinely overshoot 64 bits, so inputs
 and trajectory values are plain Python integers throughout; the batch
-path in :func:`survey` uses int64 arrays only while provably safe and
-falls back to exact scalar arithmetic otherwise.
+path in :func:`survey` steps int64 lanes only while provably safe. Its
+lanes leave the arrays for exact arithmetic at one walk site: an odd
+value past the int64 step guard walks until back at or below it, and
+the last few lanes walk to 1.
 
 The exact stepper jumps K = 8 shortcut steps at a time. With T(x) = x/2
 for even x and (3x+1)/2 for odd x (an ``L``, or an ``RL`` pair), the
@@ -49,7 +51,7 @@ _INT64_MAX = (1 << 63) - 1
 
 _CHUNK = 1 << 16
 _RANK = 1 << 13  # rows per block when the survey ranks descent chains in row order
-_TAIL = 32  # lanes left when the survey lockstep hands each to the exact stepper
+_TAIL = 32  # lanes left when the survey lockstep walks each exactly to 1
 _MERGE_EVERY = 32  # rounds between lane merges in the survey lockstep, after 2, 4 and 8
 
 # Most inputs one survey (or bound report) takes; its columns then
@@ -478,59 +480,58 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     # at the start: a lockstep would have retired them by round 2, the first.
     checked = lane.size + len(range(size)[even]) + len(range(size)[odd])
     while lane.size:
-        # A lane at 2^63 - 1 is at its row's input, maybe clipped (see survey),
-        # so walks start it from the input: no round gives 2^62 or more, and an
-        # excursion ends at or below the guard, or at 0 when capped.
-        if lane.size <= _TAIL:
-            for k, row in enumerate(lane.tolist()):
-                before, start = taken + int(ahead[k]), int(cur[k])
-                walked, peak, halved, end, _ = _walk(
-                    start if start < _INT64_MAX else first + row, max_steps - before)
-                s[row], lc[row] = before + walked, taken + halves[k] + halved
-                pk[row], cd[row] = min(max(peak, int(top[k])), _INT64_MAX), 2 * (end > 1)
-                if pk[row] == _INT64_MAX:
-                    big_peaks[base + row] = max(peak, big_peaks.get(base + row, 0))
-            break
         # A round takes one or two steps, so a cap can fall between an R and
         # its L. A round adds at most one step beyond the round count, so
         # ``ahead - taken`` never grows in a round; ``wide`` is its largest
-        # value after any excursion. So no lane is past 2 * taken + wide
-        # steps, and lanes need checking only once that is within two steps
-        # of the cap. One with no step left, or with one left before an R
-        # that fits int64, stops at the cap, with peak 3x + 1 in the second
-        # case. An odd lane past the guard takes its last step on an
-        # excursion; an even one takes it in the round.
-        if 2 * taken + wide + 2 > max_steps:
+        # value after any walk. So no lane is past 2 * taken + wide steps,
+        # and lanes need checking only once that is within two steps of the
+        # cap. One with no step left, or with one left before an R that fits
+        # int64, stops at the cap, with peak 3x + 1 in the second case. An
+        # odd lane past the guard takes its last step on its walk; an even
+        # one takes it in the round. A tail round skips the check, since its
+        # walks stop at the cap themselves.
+        tail = lane.size <= _TAIL
+        if not tail and 2 * taken + wide + 2 > max_steps:
             left = max_steps - taken - ahead
             done = (left == 0) | (left == 1) & (cur & 1 == 1) & (cur <= _INT64_STEP_GUARD)
             if done.any():
                 j = lane[done]
-                s[j], lc[j], cd[j] = max_steps, taken + halves[done], 2
-                pk[j] = np.maximum(top[done], 3 * np.where(left[done], cur[done], 0) + 1)
+                s[j], lc[j], cd[j], pk[j] = max_steps, taken + halves[done], 2, np.maximum(
+                    top[done], 3 * np.where(left[done], cur[done], 0) + 1)
                 lane, span, cur, top, halves, ahead = _keep(
                     ~done, lane, span, cur, top, halves, ahead)
                 continue
-        # An odd value past the guard would overflow int64, so its lane steps
-        # exactly until back at or below the guard; even values halve in
-        # int64. That odd step tops int64, so the row is big, and its lane's
-        # peak is 2^63 - 1. No other row holds 2^63 - 1: the guard is even,
+        # Lanes are walked exactly at this one site, each from its value, or
+        # from its row's input when at 2^63 - 1 (an input past int64 reads
+        # 2^63 - 1, see survey; no round gives 2^62 or more). With at most
+        # _TAIL lanes left (the tail), every lane walks with floor 1, to 1 or
+        # to the cap, and the rows are written. Otherwise an odd value past
+        # the guard would overflow int64 at its next step, so its lane walks
+        # with the guard as floor (an excursion); even values halve in int64.
+        # That odd step tops int64, so the row is big: a walk whose peak
+        # reaches 2^63 - 1 keeps it in ``big_peaks`` and clips its lane's
+        # peak to 2^63 - 1. No other row holds 2^63 - 1: the guard is even,
         # so a lockstep odd step gives at most 2^63 - 4, and 2^63 - 1 is odd,
-        # so its next step leaves int64.
-        if int(cur.max()) > _INT64_STEP_GUARD and (
-                hot := np.nonzero((cur > _INT64_STEP_GUARD) & (cur & 1 == 1))[0]).size:
-            for k in hot.tolist():
+        # so its next step leaves int64. A walk capped past the guard leaves its
+        # lane at 0, a value no round reaches: the cap check next retires it,
+        # or its tail row reads code 2, and the value is not used again.
+        floor = 1 if tail else _INT64_STEP_GUARD
+        if tail or int(cur.max()) > floor and (
+                hot := np.nonzero((cur > floor) & (cur & 1 == 1))[0]).size:
+            for k in range(lane.size) if tail else hot.tolist():
                 row, start = base + int(lane[k]), int(cur[k])
                 walked, peak, halved, end, _ = _walk(start if start < _INT64_MAX else lo + row,
-                                                     max_steps - taken - int(ahead[k]),
-                                                     _INT64_STEP_GUARD)
-                ahead[k] += walked
-                halves[k] += halved
-                wide = max(wide, int(ahead[k]) - taken)
-                big_peaks[row] = max(peak, big_peaks.get(row, 0))
-                top[k] = _INT64_MAX
-                # A lane capped inside its excursion retires at the cap
-                # check that comes next; its value is not used again.
+                                                     max_steps - taken - int(ahead[k]), floor)
+                ahead[k], halves[k] = ahead[k] + walked, halves[k] + halved
+                top[k] = _INT64_MAX if peak >= _INT64_MAX else max(peak, int(top[k]))
+                if peak >= _INT64_MAX:
+                    big_peaks[row] = max(peak, big_peaks.get(row, 0))
                 cur[k] = end if end <= _INT64_STEP_GUARD else 0
+            wide = max(wide, int(ahead.max()) - taken)
+            if tail:
+                s[lane], lc[lane], pk[lane], cd[lane] = (
+                    taken + ahead, taken + halves, top, 2 * (cur != 1))
+                break
             continue
         # One shortcut step, T(x) = x/2 or (3x + 1)/2 (Terras, 1976); the
         # peak candidate new << odd is 3x + 1 for an odd x, at most x else.
@@ -547,10 +548,8 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             down |= cur == 1
         if down.any():
             j = lane[down]
-            s[j] = taken + ahead[down]
-            lc[j] = taken + halves[down]
-            pk[j] = top[down]
-            target[j] = cur[down] - low
+            s[j], lc[j], pk[j], target[j] = (
+                taken + ahead[down], taken + halves[down], top[down], cur[down] - low)
             lane, span, cur, top, halves, ahead = _keep(~down, lane, span, cur, top, halves, ahead)
         if taken % _MERGE_EVERY and taken not in (2, 4, 8):
             continue
@@ -575,10 +574,8 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             follow = lane[f] // _RANK >= lane[k] // _RANK
             f, k = f[follow], k[follow]
             j = lane[f]
-            s[j] = ahead[f] - ahead[k]
-            lc[j] = halves[f] - halves[k]
-            pk[j] = top[f]
-            target[j] = base + lane[k]
+            s[j], lc[j], pk[j], target[j] = (
+                ahead[f] - ahead[k], halves[f] - halves[k], top[f], base + lane[k])
             kept = np.ones(lane.size, dtype=bool)
             kept[f] = False
             lane, span, cur, top, halves, ahead = _keep(

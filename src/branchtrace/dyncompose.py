@@ -46,9 +46,6 @@ class CompositionState:
     def words(self) -> tuple[int, int, int, int]:
         return (self.w0, self.w1, self.w2, self.w3)
 
-    def trace_string(self) -> str:
-        return "".join(self.trace)
-
 
 def init(key: bytes) -> CompositionState:
     """State from a 32-byte key: w0..w3 little-endian, empty trace."""

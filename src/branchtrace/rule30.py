@@ -58,7 +58,8 @@ class Row:
     def from_bits(cls, cells) -> "Row":
         text = bytearray()
         for cell in cells:
-            if cell not in (0, 1):
+            if not isinstance(cell, (int, np.integer)) or isinstance(cell, bool) or (
+                    cell not in (0, 1)):
                 raise DomainError(f"cell values must be 0 or 1, got {cell!r}")
             text.append(ord("0") + cell)
         if not text:
@@ -89,9 +90,6 @@ class Row:
 
     def to_bit_array(self) -> np.ndarray:
         return np.frombuffer(self.to01().encode(), dtype=np.uint8) - ord("0")
-
-    def ones(self) -> int:
-        return self.bits.bit_count()
 
 
 @dataclass(frozen=True)

@@ -755,12 +755,13 @@ def pre_retired(n, lo, cap):
 
 
 def spy_tail_starts(monkeypatch):
-    """Record the start value of every lane the lockstep hands to the exact
-    stepper (the only ``_walk`` calls with two positional arguments)."""
+    """Record the start value of every lane the lockstep walks in its tail:
+    the lockstep's one ``_walk`` site, called with floor 1 as its third
+    positional argument (an excursion passes the guard there)."""
     starts, walk = [], collatz._walk
 
     def spy(*args, **kwargs):
-        if len(args) == 2 and not kwargs:
+        if len(args) == 3 and args[2] == 1 and not kwargs:
             starts.append(args[0])
         return walk(*args, **kwargs)
 

@@ -112,6 +112,10 @@ def test_row_validation():
         Row.from01("012")
     with pytest.raises(DomainError):
         Row.from_bits([0, 2])
+    for cell in (True, False, 1.0, np.float64(1.0), np.bool_(True), "1", None):
+        with pytest.raises(DomainError):
+            Row.from_bits([0, cell])
+    assert Row.from_bits([np.int64(1), np.uint8(0), 1, 0]) == Row.from01("1010")
     with pytest.raises(DomainError):
         Row.from_bits([])
     with pytest.raises(DomainError):
@@ -151,7 +155,7 @@ def test_random_row_is_deterministic():
     a = rule30.random_row(256, 42)
     b = rule30.random_row(256, 42)
     assert a == b
-    assert a.ones() == 122
+    assert a.bits.bit_count() == 122
     assert rule30.random_row(256, 43) != a
 
 
@@ -193,4 +197,4 @@ def test_roundtrip_text_encoding(text):
     assert row.to01() == text
     assert Row.from_bits(int(c) for c in text) == row
     assert row.to_bit_array().tolist() == [int(c) for c in text]
-    assert row.ones() == text.count("1")
+    assert row.bits.bit_count() == text.count("1")
