@@ -20,6 +20,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Callable, Iterator
 
@@ -85,16 +86,13 @@ def _output(path: str | None) -> Iterator[Callable[[bytes], object]]:
     """A write function taking ASCII bytes, for a file or, when path is
     None, for stdout, which may be a text stream with no binary buffer.
 
-    Failures to open or write the file are exit 3.
+    Failures to open or write the file reach :func:`main` as exit 3.
     """
     if path is None:
         yield lambda data: sys.stdout.write(data.decode("ascii"))
         return
-    try:
-        with open(path, "wb") as handle:
-            yield handle.write
-    except OSError as err:
-        raise _CliError(3, f"cannot write {path}: {err}")
+    with open(path, "wb") as handle:
+        yield handle.write
 
 
 def _emit_json(payload) -> None:
@@ -459,7 +457,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write to stdout is an output failure too
+        return code
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
@@ -469,6 +469,18 @@ def main(argv: list[str] | None = None) -> int:
     except BranchTraceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:  # readers turn their own failures into exit 2
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # Stdout itself failed (only a stream with a descriptor can): point
+            # the descriptor at os.devnull, as the Python docs advise for SIGPIPE,
+            # so the interpreter's last flush prints no second error and the
+            # exit code stays 3, not 120.
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 3
 
 
 def entry() -> None:

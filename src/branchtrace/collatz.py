@@ -38,7 +38,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BranchTraceError, DomainError, InconsistentTrace, ResourceError, require_int
+from .errors import (BranchTraceError, DomainError, InconsistentTrace, ResourceError, require_int,
+                     require_member)
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -52,7 +53,7 @@ _INT64_MAX = (1 << 63) - 1
 _CHUNK = 1 << 16
 _RANK = 1 << 13  # rows per block when the survey ranks descent chains in row order
 _TAIL = 32  # lanes left when the survey lockstep walks each exactly to 1
-_MERGE_EVERY = 32  # rounds between lane merges in the survey lockstep, after 2, 4 and 8
+_MERGE_EVERY = 32  # rounds between lane merges in the survey lockstep
 
 # Most inputs one survey (or bound report) takes; its columns then
 # need about 0.4 GB.
@@ -82,6 +83,7 @@ class StopRule:
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
+        require_member(self.mode, StopMode, "mode")
         require_int(self.max_steps, "max_steps", 1)
 
     @classmethod
@@ -476,9 +478,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     ahead = np.zeros(lane.size, dtype=np.int64)
     halves = np.zeros(lane.size, dtype=np.int64)
     taken = wide = 0
-    # Live lanes at the last merge round. The pre-retired rows count as live
-    # at the start: a lockstep would have retired them by round 2, the first.
-    checked = lane.size + len(range(size)[even]) + len(range(size)[odd])
+    checked = lane.size  # live lanes at the last merge round
     while lane.size:
         # A round takes one or two steps, so a cap can fall between an R and
         # its L. A round adds at most one step beyond the round count, so
@@ -551,17 +551,18 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
             s[j], lc[j], pk[j], target[j] = (
                 taken + ahead[down], taken + halves[down], top[down], cur[down] - low)
             lane, span, cur, top, halves, ahead = _keep(~down, lane, span, cur, top, halves, ahead)
-        if taken % _MERGE_EVERY and taken not in (2, 4, 8):
+        if taken % _MERGE_EVERY:
             continue
-        # Lanes at one value share their future, so unless an eighth of the
-        # live lanes retired since the last merge round (as in dense ranges),
-        # only the lane of least peak so far in each group steps on, big
-        # lanes ranked by exact peak and ties going to the lowest row (lanes
-        # stay in row order). The rest retire with it as target, keeping
-        # steps and halvings minus its own (maybe <= 0) and their own peak:
-        # that is no less than the leader's peak so far, so the max of it and
-        # the leader's total is exact. A lane in an earlier ranking block than
-        # its leader steps on, so no target is in a later block than its row.
+        # Lanes at one value share their future, so every _MERGE_EVERY rounds,
+        # unless an eighth of the live lanes retired since the last merge round
+        # or round 0 (as in dense ranges), only the lane of least peak so far
+        # in each group steps on, big lanes ranked by exact peak and ties going
+        # to the lowest row (lanes stay in row order). The rest retire with it
+        # as target, keeping steps and halvings minus its own (maybe <= 0) and
+        # their own peak: that is no less than the leader's peak so far, so the
+        # max of it and the leader's total is exact. A lane in an earlier
+        # ranking block than its leader steps on, so no target is in a later
+        # block than its row.
         if 8 * (checked - lane.size) < lane.size:
             big = np.nonzero(top == _INT64_MAX)[0]
             exact = [big_peaks[base + row] for row in lane[big].tolist()]
@@ -640,8 +641,7 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     """
     require_int(lo, "lo", 1)
     require_int(hi, "hi", lo)
-    if rule is None:
-        rule = StopRule()
+    rule = rule or StopRule()
     size = hi - lo + 1
     if size > RANGE_CAP:
         raise ResourceError(f"range size {size} exceeds cap {RANGE_CAP}")

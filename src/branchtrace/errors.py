@@ -41,3 +41,10 @@ def require_int(value, name: str, least: int | None = None) -> None:
             least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_member(value, kind, name: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a member of the enum
+    ``kind``: its value alone (``"wrap"``) is not one."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")

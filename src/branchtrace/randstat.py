@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -165,13 +165,12 @@ def serial_test(stream: BitStream, k: int, alpha: float = DEFAULT_ALPHA) -> Test
     return _report(f"serial_k{k}", chi2, p, alpha)
 
 
-def battery(stream: BitStream, alpha: float = DEFAULT_ALPHA,
-            serial_ks: Iterable[int] = SERIAL_BLOCK_SIZES) -> tuple[TestReport, ...]:
-    """Monobit, runs, and serial tests over one stream, in that order."""
+def battery(stream: BitStream, alpha: float = DEFAULT_ALPHA) -> tuple[TestReport, ...]:
+    """Monobit, runs, and serial tests (each k of SERIAL_BLOCK_SIZES) over
+    one stream, in that order."""
     bits = _as_bits(stream)
-    reports = [monobit(bits, alpha), runs_test(bits, alpha)]
-    reports.extend(serial_test(bits, k, alpha) for k in serial_ks)
-    return tuple(reports)
+    return (monobit(bits, alpha), runs_test(bits, alpha),
+            *(serial_test(bits, k, alpha) for k in SERIAL_BLOCK_SIZES))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, require_int
+from .errors import DomainError, ResourceError, require_int, require_member
 from .prng import XorShift64Star
 
 RULE_NUMBER = 30
@@ -129,16 +129,18 @@ def _generations(initial: Row, mode: BoundaryMode) -> Iterator[tuple[int, int]]:
 
 def step_row(row: Row, mode: BoundaryMode) -> Row:
     """Advance one generation under the given boundary convention."""
+    require_member(mode, BoundaryMode, "mode")
     generations = _generations(row, mode)
     next(generations)
     return Row(*next(generations))
 
 
 def _check_caps(width: int, steps: int, mode: BoundaryMode, grid: bool = False) -> int:
-    """Refuse ``steps`` past STEP_CAP, a final row past WIDTH_CAP and, for a
-    ``grid`` of every generation, more than CELL_CAP cells; returns the
-    final row's width. It takes the initial width, not the row, so a caller
-    can refuse sizes before building a row."""
+    """Refuse a ``mode`` that is not a BoundaryMode, ``steps`` past STEP_CAP,
+    a final row past WIDTH_CAP and, for a ``grid`` of every generation, more
+    than CELL_CAP cells; returns the final row's width. It takes the initial
+    width, not the row, so a caller can refuse sizes before building a row."""
+    require_member(mode, BoundaryMode, "mode")
     require_int(steps, "steps", 0)
     if steps > STEP_CAP:
         raise ResourceError(f"steps {steps} exceeds cap {STEP_CAP}")

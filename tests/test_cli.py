@@ -8,6 +8,7 @@ exactly as a user sees them.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -312,6 +313,28 @@ def test_survey_write_failure_is_io_error(tmp_path):
     proc = run("survey", "1", "3", "--out", missing_dir)
     assert proc.returncode == 3
     assert "cannot write" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("args", [("survey", "1", "200000"), ("trace", "27")])
+def test_stdout_write_failure_is_io_error(args):
+    # A full device fails a write mid-stream (survey) or at the last flush
+    # (trace); either way one error line and exit 3, with no traceback.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(CMD + list(args), stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: cannot write") and proc.stderr.count("\n") == 1
+
+
+def test_stdout_closed_pipe_is_io_error():
+    # The reader is gone before the first byte, as after `| head -c 10`.
+    with subprocess.Popen(CMD + ["survey", "1", "200000"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 3
+    assert stderr.startswith("error: cannot write") and stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------- rule30

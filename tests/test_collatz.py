@@ -668,20 +668,20 @@ def test_survey_followers_carry_their_own_excursion_steps(monkeypatch):
 def test_survey_merges_all_big_groups(monkeypatch):
     # With the guard lowered, lanes whose clipped peaks all tie at the
     # int64 limit meet; each group's leader must have the least exact peak.
-    guard = 2_000
+    guard = 200_000
     monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
     monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
     merges = spy_merges(monkeypatch)
-    for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(60),
+    for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(100),
                  collatz.StopRule.on_repeat()):
         merges.clear()
-        result = collatz.survey(2001, 3000, rule)
+        result = collatz.survey(200_001, 201_000, rule)
         assert_rows_exact(result, range(len(result)))
         assert_big_placeholders(result, 3 * guard)
         assert any(top == 3 * guard for _, _, _, top in merges)
 
 
-@pytest.mark.parametrize("cap", [40, 100, 300])
+@pytest.mark.parametrize("cap", [60, 100, 300])
 def test_survey_followers_of_capped_leaders(monkeypatch, cap):
     # A follower's own step count (0 here) does not take it past the cap;
     # its leader's stop code does.
@@ -695,21 +695,21 @@ def test_survey_followers_of_capped_leaders(monkeypatch, cap):
     assert all(result.stop_codes[f] == 2 and result.steps[f] == cap for f, _ in capped)
 
 
-@pytest.mark.parametrize("cap", [40, 60, 100])
+@pytest.mark.parametrize("cap", [100, 110, 120])
 def test_survey_followers_short_of_capped_leaders(monkeypatch, cap):
     # In an all-big group the leader, of least exact peak, can have spent
     # more steps on excursions than a follower, whose chained total then
     # falls short of the cap; the leader's stop code sends it to the exact
     # stepper. Also with ranking blocks of 512 rows, where a lane in an
     # earlier block than its leader steps on.
-    guard = 2_000
+    guard = 2_000_000
     monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
     monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
     merges = spy_merges(monkeypatch)
     for rank in (512, collatz._RANK):
         monkeypatch.setattr(collatz, "_RANK", rank)
         merges.clear()
-        result = collatz.survey(2200, 3000, collatz.StopRule.at_one(cap))
+        result = collatz.survey(4_000_000, 4_000_999, collatz.StopRule.at_one(cap))
         assert_rows_exact(result, range(len(result)))
         assert any(delta < 0 and result.stop_codes[k] == 2 for _, k, delta, _ in merges)
         assert all(f // rank >= k // rank for f, k, _, _ in merges)
@@ -807,10 +807,11 @@ def test_survey_guard_cuts_the_pre_retired_rows(monkeypatch, guard, chunk):
 
 
 def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
-    # Pre-retired rows count as retired in their rounds (1 and 2), so a
-    # dense range never merges lanes. Windows pre-retire nothing and merge
-    # at their own pace: over the benchmark's exact_wide windows at seed 1,
-    # 71 of the rounds (each one shortcut step) merge.
+    # A merge round comes every 32 rounds (each one shortcut step). In a
+    # dense range such as [1, 10^6] at least an eighth of the live lanes
+    # retire in each 32 rounds, so it never merges lanes. Windows retire few
+    # lanes and merge at their own pace: over the benchmark's exact_wide
+    # windows at seed 1, 47 of the rounds merge.
     rounds = []
     keep = collatz._keep
 
@@ -825,7 +826,7 @@ def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
     for lo in (2000264931193, 13652651775475, 90369518052770, 698049293593410,
                6919942724769661, 48847406005547136, 328055372778564155, 2593422061856511112):
         collatz.survey(lo, lo + 4095)
-    assert len(rounds) == 71
+    assert len(rounds) == 47
 
 
 # ------------------------------------------------ one shortcut step a round

@@ -1,6 +1,7 @@
 """Every public integer parameter goes through ``errors.require_int``: a
 bool, a float, a numeric string or a value one below the least allowed
-raises :class:`DomainError` (a ``ValueError``). Seeds take any int."""
+raises :class:`DomainError` (a ``ValueError``). Seeds take any int. A
+``mode`` must be a member of its enum, not the member's value."""
 
 import pytest
 
@@ -57,6 +58,30 @@ def test_public_integer_parameters_reject_non_ints(call, least, bad):
     with pytest.raises(DomainError):
         call(bad(least))
     call(least)  # the least allowed value is accepted
+
+
+# (name, call taking the mode under test, the mode's enum)
+MODE_SITES = [
+    ("collatz.StopRule:mode", collatz.StopRule, collatz.StopMode),
+    ("rule30.evolve:mode", lambda m: rule30.evolve(rule30.Row.single(5), 4, m),
+     rule30.BoundaryMode),
+    ("rule30.center_column:mode", lambda m: rule30.center_column(rule30.Row.single(), 8, m),
+     rule30.BoundaryMode),
+    ("rule30.step_row:mode", lambda m: rule30.step_row(rule30.Row.single(5), m),
+     rule30.BoundaryMode),
+]
+
+
+@pytest.mark.parametrize("call,kind", [pytest.param(call, kind, id=name)
+                                       for name, call, kind in MODE_SITES])
+def test_modes_reject_non_members(call, kind):
+    # Each member's value, None, and each member of the other mode enum.
+    other = rule30.BoundaryMode if kind is collatz.StopMode else collatz.StopMode
+    for bad in [*(member.value for member in kind), None, *other]:
+        with pytest.raises(DomainError):
+            call(bad)
+    for member in kind:
+        call(member)
 
 
 # (name, call taking the seed under test)
