@@ -386,8 +386,16 @@ def _cmd_digest(args) -> int:
 # --------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops help text it cannot write; this parser, and so each
+    of its subparsers, lets the OSError reach ``main``."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="branchtrace",
         description="Branch-trace experiments: trajectories, rule 30, "
         "randomness tests, description-length bounds, dynamic composition.",
@@ -453,11 +461,12 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the exit code instead of raising."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return int(err.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as err:  # after --help, or a usage error on stderr
+            code = int(err.code or 0)
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a failed write to stdout is an output failure too
         return code
     except _CliError as err:

@@ -392,13 +392,17 @@ class SurveyResult:
         return self.hi - self.lo + 1
 
     def peak_of(self, offset: int) -> int:
+        require_int(offset, "offset", 0)
+        if offset >= len(self):
+            raise DomainError(f"offset {offset} outside a survey of {len(self)} rows")
         return self.big_peaks.get(offset, int(self.peaks[offset]))
 
     def record(self, offset: int) -> TraceSummary:
+        peak = self.peak_of(offset)  # refuses an offset outside the range
         return TraceSummary(
             n=self.lo + offset,
             steps=int(self.steps[offset]),
-            peak=self.peak_of(offset),
+            peak=peak,
             l_count=int(self.l_count[offset]),
             stop_reason=_REASON_CODES[self.stop_codes[offset]],
         )
@@ -589,26 +593,27 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     # ceil(log2 d) rounds. No target is in a later block than its row (a
     # descent target lies below it), so a target before the block is final
     # and ends its row's chain. Stop codes ride along: a row chained to a
-    # capped one is redone below.
+    # capped one is redone below. So do exact big peaks: only big rows hold
+    # 2^63 - 1, so a target that reads it, itself or by a link added before,
+    # has a ``big_peaks`` entry, the largest exact peak on its chain so far,
+    # and the row keeps the max of its own entry and that one. An entry
+    # updated earlier in the same round covers more of the target's chain,
+    # all of which is on the row's chain too, so the max stays exact.
     ops = (np.add, np.add, np.maximum, np.maximum)
     for start in range(base, stop, _RANK):
         link = target[start - base:start - base + _RANK].copy()
         live = np.nonzero(link >= 0)[0]
         while live.size:
             k, rows = link[live], start + live
+            if big_peaks:
+                big = peaks[k] == _INT64_MAX
+                for row, at in zip(rows[big].tolist(), k[big].tolist()):
+                    big_peaks[row] = max(big_peaks.get(row, 0), big_peaks[at])
             for column, op in zip((steps, l_count, peaks, codes), ops):
                 column[rows] = op(column[rows], column[k])
             link[live] = np.where(k >= start, link[(k - start).clip(0)], -1)
             live = live[link[live] >= 0]
 
-    # Only big rows hold 2^63 - 1, so the max along a chain marks them; the
-    # exact peak is the largest ``big_peaks`` entry on the chain.
-    for row in np.nonzero(pk == _INT64_MAX)[0].tolist():
-        peak, link = 0, base + row
-        while link >= 0 and peaks[link] == _INT64_MAX:
-            peak = max(peak, big_peaks.get(link, 0))
-            link = int(target[link - base]) if link >= base else -1
-        big_peaks[base + row] = peak
     # A row chained to a capped one, or whose total tops the cap, is redone.
     redo = np.nonzero((target >= 0) & ((cd != 0) | (s > max_steps)))[0]
     _exact_rows(lo, (base + redo).tolist(), rule, steps, l_count, peaks, codes, big_peaks)

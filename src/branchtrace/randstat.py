@@ -3,8 +3,8 @@
 A small, classical set of randomness tests: monobit frequency, runs,
 and serial chi-square over non-overlapping blocks, plus Shannon entropy
 and an avalanche harness for byte-to-byte functions. Each hypothesis
-test returns a :class:`TestReport`; ``passed`` is exactly
-``p_value >= alpha``.
+test returns a :class:`TestReport`; ``alpha`` must lie in (0, 1), and
+``passed`` is exactly ``p_value >= alpha``.
 
 p-values come from the local :mod:`branchtrace.special` implementations
 of erfc and the regularized incomplete gamma, so reports are identical
@@ -42,6 +42,8 @@ class TestReport:
     note: str = ""
 
     def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not 0.0 <= self.p_value <= 1.0:
             raise DomainError(f"p-value outside [0,1]: {self.p_value!r}")
         if self.passed != (self.p_value >= self.alpha):
@@ -147,6 +149,7 @@ def serial_test(stream: BitStream, k: int, alpha: float = DEFAULT_ALPHA) -> Test
     The trailing partial block is discarded; 2^k - 1 degrees of freedom;
     p = Q((2^k - 1)/2, chi2/2).
     """
+    require_int(k, "block size")
     if k not in SERIAL_BLOCK_SIZES:
         raise DomainError(f"block size must be one of {SERIAL_BLOCK_SIZES}, got {k}")
     bits = _as_bits(stream)

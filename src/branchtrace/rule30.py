@@ -51,6 +51,7 @@ class Row:
 
     def __post_init__(self):
         require_int(self.width, "row width", 1)
+        require_int(self.bits, "row bits")
         if not 0 <= self.bits < (1 << self.width):
             raise DomainError("row bits do not fit the declared width")
 

@@ -316,10 +316,12 @@ def test_survey_write_failure_is_io_error(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("args", [("survey", "1", "200000"), ("trace", "27")])
+@pytest.mark.parametrize("args", [("survey", "1", "200000"), ("trace", "27"), ("--help",),
+                                  ("survey", "--help")])
 def test_stdout_write_failure_is_io_error(args):
-    # A full device fails a write mid-stream (survey) or at the last flush
-    # (trace); either way one error line and exit 3, with no traceback.
+    # A full device fails a write mid-stream (survey, help text) or at the
+    # last flush (trace); either way one error line and exit 3, with no
+    # traceback.
     with open("/dev/full", "w") as full:
         proc = subprocess.run(CMD + list(args), stdout=full, stderr=subprocess.PIPE, text=True,
                               timeout=120)

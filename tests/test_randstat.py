@@ -171,6 +171,17 @@ def test_battery_custom_alpha_is_recorded():
     assert all(r.alpha == 0.2 for r in reports)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0, math.nan], ids=repr)
+def test_alpha_outside_open_unit_interval_is_refused(alpha):
+    bits = XorShift64Star(3).bits(4096)
+    for test in (randstat.monobit, randstat.runs_test, randstat.battery,
+                 lambda stream, a: randstat.serial_test(stream, 2, a)):
+        with pytest.raises(DomainError):
+            test(bits, alpha)
+    with pytest.raises(DomainError):
+        randstat.TestReport("x", 0.0, 0.5, alpha, 0.5 >= alpha)
+
+
 # ---------------------------------------------------------- report type
 
 

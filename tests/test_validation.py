@@ -22,12 +22,15 @@ SITES = [
     ("collatz.StopRule:max_steps", lambda v: collatz.StopRule(collatz.StopMode.AT_ONE, v), 1),
     ("collatz.StopRule.at_one:max_steps", collatz.StopRule.at_one, 1),
     ("collatz.StopRule.on_repeat:max_steps", collatz.StopRule.on_repeat, 1),
+    ("collatz.SurveyResult.record:offset", lambda v: collatz.survey(1, 10).record(v), 0),
+    ("collatz.SurveyResult.peak_of:offset", lambda v: collatz.survey(1, 10).peak_of(v), 0),
     ("bounds.description_bits:n", bounds.description_bits, 1),
     ("bounds.paths_at_depth:d", bounds.paths_at_depth, 0),
     ("bounds.composition_labels:d", bounds.composition_labels, 0),
     ("bounds.bound_report:lo", lambda v: bounds.bound_report(v, 10), 1),
     ("bounds.bound_report:hi", lambda v: bounds.bound_report(3, v), 3),
     ("rule30.Row:width", lambda v: rule30.Row(v, 1), 1),
+    ("rule30.Row:bits", lambda v: rule30.Row(3, v), 0),
     ("rule30.Row.single:width", rule30.Row.single, 1),
     ("rule30.evolve:steps", lambda v: rule30.evolve(rule30.Row.single(), v, EXPAND), 0),
     ("rule30.center_column:steps",
@@ -36,6 +39,7 @@ SITES = [
     ("dyncompose.trace_length:message_len", dyncompose.trace_length, 0),
     ("randstat.avalanche:input_len", lambda v: randstat.avalanche(bytes, v, 100, 0), 1),
     ("randstat.avalanche:trials", lambda v: randstat.avalanche(bytes, 1, v, 0), 100),
+    ("randstat.serial_test:k", lambda v: randstat.serial_test("01" * 200, v), 2),
     ("prng.bits:count", lambda v: XorShift64Star(1).bits(v), 0),
     ("prng.bytes:count", lambda v: XorShift64Star(1).bytes(v), 0),
     ("prng.below:bound", lambda v: XorShift64Star(1).below(v), 1),
@@ -58,6 +62,16 @@ def test_public_integer_parameters_reject_non_ints(call, least, bad):
     with pytest.raises(DomainError):
         call(bad(least))
     call(least)  # the least allowed value is accepted
+
+
+def test_survey_offsets_past_the_range_are_refused():
+    result = collatz.survey(1, 10)
+    for offset in (len(result), 1 << 70):
+        with pytest.raises(DomainError):
+            result.record(offset)
+        with pytest.raises(DomainError):
+            result.peak_of(offset)
+    assert result.record(len(result) - 1).n == 10
 
 
 # (name, call taking the mode under test, the mode's enum)
