@@ -97,13 +97,21 @@ def _drive(words, blocks, forced=None):
     return (w0, w1, w2, w3), schedule.decode("ascii")
 
 
+def _bytes(data, name: str) -> bytes:
+    """``data`` as bytes; anything but bytes, a bytearray or a memoryview is refused."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise DomainError(f"{name} must be bytes, got {type(data).__name__}")
+    return bytes(data)
+
+
 def absorb(state: CompositionState, block: bytes) -> CompositionState:
     """XOR a 32-byte block into the words, then run 16 selected rounds."""
+    block = _bytes(block, "block")
     if len(block) != BLOCK_LEN:
         raise BlockLengthError(
             f"block must be exactly {BLOCK_LEN} bytes, got {len(block)}"
         )
-    words, schedule = _drive(state.words(), [_WORDS.unpack(bytes(block))])
+    words, schedule = _drive(state.words(), [_WORDS.unpack(block)])
     state.w0, state.w1, state.w2, state.w3 = words
     state.trace.extend(schedule)
     state.absorbed_bytes += BLOCK_LEN
@@ -116,7 +124,8 @@ def _padded(message: bytes) -> bytes:
     The length block is 16 zero bytes followed by the original message
     bit length as a little-endian 128-bit integer.
     """
-    padded = bytes(message) + b"\x80"
+    message = _bytes(message, "message")
+    padded = message + b"\x80"
     padded += b"\x00" * (-len(padded) % BLOCK_LEN)
     return padded + b"\x00" * 16 + (8 * len(message)).to_bytes(16, "little")
 

@@ -82,7 +82,8 @@ class Row:
         return cls(width, 1 << (width // 2))
 
     def cell(self, i: int) -> int:
-        if not 0 <= i < self.width:
+        require_int(i, "cell index", 0)
+        if i >= self.width:
             raise DomainError(f"cell index {i} outside width {self.width}")
         return (self.bits >> (self.width - 1 - i)) & 1
 

@@ -615,21 +615,36 @@ def test_survey_on_repeat_above_the_limit_with_a_cap_at_one(lo):
 def test_survey_inputs_past_int64_start_as_excursion_lanes(monkeypatch, tail, lo, cap):
     # An input past int64 reads 2^63 - 1 in the lockstep, and its lane starts
     # from the input: in the tail at round 0 (30 lanes, tail 32) or on an
-    # excursion (no tail). The exact stepper gets no whole window, only rows
-    # chained to capped ones.
+    # excursion (no tail). The per-row exact stepper gets no row at all.
     monkeypatch.setattr(collatz, "_TAIL", tail)
-    starts, redone, exact_rows = spy_tail_starts(monkeypatch), [], collatz._exact_rows
-
-    def spy(lo, offsets, *args):
-        redone.extend(offsets)
-        return exact_rows(lo, offsets, *args)
-
-    monkeypatch.setattr(collatz, "_exact_rows", spy)
-    result = collatz.survey(lo, lo + 29, collatz.StopRule.at_one(*([cap] if cap else [])))
+    starts = spy_tail_starts(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(collatz, "_exact", refuse)
+        result = collatz.survey(lo, lo + 29, collatz.StopRule.at_one(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result)
     assert starts == (list(range(lo, lo + 30)) if tail else [])
-    assert cap or not redone
+
+
+def refuse(*args):
+    raise AssertionError(f"the per-row stepper ran for {args}")
+
+
+# The seed-1 exact_wide window at 2^40 of perfbench.
+WIDE_2P40 = (2000264931193, 2000264931193 + 4095)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 50, 100, None])
+@pytest.mark.parametrize("lo, hi", [(1, 3000), (1000, 5000), WIDE_2P40,
+                                    ((1 << 62) - 300, (1 << 62) + 300),
+                                    (1 << 64, (1 << 64) + 300)])
+def test_survey_at_one_rows_never_reach_the_per_row_stepper(monkeypatch, lo, hi, cap):
+    # Capped rows, their descendants and merge followers step again in the
+    # lockstep; only ON_REPEAT leftovers go to the per-row stepper.
+    with monkeypatch.context() as patch:
+        patch.setattr(collatz, "_exact", refuse)
+        result = collatz.survey(lo, hi, collatz.StopRule.at_one(*([cap] if cap else [])))
+    assert_rows_exact(result, range(len(result)))
 
 
 # ------------------------------------------------- merged lanes and the tail
@@ -777,14 +792,20 @@ def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi)
     # four positions of a 7-row chunk as lo moves; chunk starts of 7 rows
     # pass through every residue mod 4. A 7-row chunk hands all its lanes
     # to the exact stepper before any round, so they are exactly the rows
-    # that were not pre-retired.
+    # that were not pre-retired; then its pre-retired rows whose trajectory
+    # tops the cap step again from their inputs, in the tail too.
     monkeypatch.setattr(collatz, "_CHUNK", chunk)
     starts = spy_tail_starts(monkeypatch)
     rule = collatz.StopRule.at_one(*([cap] if cap else []))
     result = collatz.survey(lo, hi, rule)
     assert_rows_exact(result, range(len(result)))
     if chunk == 7:
-        want = [n for n in range(max(lo, 2), hi + 1) if not pre_retired(n, lo, rule.max_steps)]
+        want = []
+        for first in range(lo, hi + 1, 7):
+            rows = range(max(first, 2), min(first + 7, hi + 1))
+            want += [n for n in rows if not pre_retired(n, lo, rule.max_steps)]
+            want += [n for n in rows if pre_retired(n, lo, rule.max_steps)
+                     and collatz.trace(n).steps > rule.max_steps]
         assert starts == want
 
 

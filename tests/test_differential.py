@@ -19,4 +19,4 @@ def test_quick_cases_match_head():
                            "--quick", "--against", "HEAD"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith("31 cases against HEAD: 31 bit-identical, 0 differ\n")
+    assert proc.stdout.endswith("32 cases against HEAD: 32 bit-identical, 0 differ\n")

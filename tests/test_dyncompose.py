@@ -160,6 +160,23 @@ def test_replay_rejects_bad_symbols():
     assert dc.replay(key, message, list(trace)) == value
 
 
+def test_messages_and_blocks_must_be_bytes():
+    # An iterable of ints is not a message, nor is a str or an int.
+    key = bytes(32)
+    for call in (lambda: dc.digest(key, [1, 2]), lambda: dc.digest(key, "abc"),
+                 lambda: dc.digest(key, 5), lambda: dc.replay(key, 5, ""),
+                 lambda: dc.absorb(dc.init(key), list(range(32))),
+                 lambda: dc.absorb(dc.init(key), "x" * 32)):
+        with pytest.raises(DomainError):
+            call()
+    message = bytes(range(40))
+    for kind in (bytearray, memoryview):
+        assert dc.digest(key, kind(message)) == dc.digest(key, message)
+        block = kind(message[:32])
+        assert dc.absorb(dc.init(key), block).words() == \
+            dc.absorb(dc.init(key), message[:32]).words()
+
+
 def test_replay_with_wrong_schedule_diverges():
     value, trace = dc.digest(bytes(32), b"")
     flipped = ("R" if trace[0] == "L" else "L") + trace[1:]

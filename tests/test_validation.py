@@ -32,6 +32,7 @@ SITES = [
     ("rule30.Row:width", lambda v: rule30.Row(v, 1), 1),
     ("rule30.Row:bits", lambda v: rule30.Row(3, v), 0),
     ("rule30.Row.single:width", rule30.Row.single, 1),
+    ("rule30.Row.cell:i", lambda v: rule30.Row.from01("10110").cell(v), 0),
     ("rule30.evolve:steps", lambda v: rule30.evolve(rule30.Row.single(), v, EXPAND), 0),
     ("rule30.center_column:steps",
      lambda v: rule30.center_column(rule30.Row.single(), v, EXPAND), 0),

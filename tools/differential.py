@@ -16,7 +16,7 @@ seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, windows
 across 2^62, across and at 2^63 - 1 (the last input int64 holds) and
 wholly past it up to 2^200, dense ranges, chunk edges and caps that fall
 between the R and the L of a shortcut step. ``--quick`` runs a
-seconds-long subset of 31.
+seconds-long subset of 32.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ def quick_cases() -> list[tuple]:
     cases.append(_case(1 << 64, (1 << 64) + 255, "repeat", UNCAPPED))
     # No more rows than the tail takes, so every lane is a placeholder in it at round 0.
     cases.append(_case((1 << 64) + 3, (1 << 64) + 32, "one", UNCAPPED))
-    cases.append(_case(*_MULTI_CHUNK[0], "one", UNCAPPED))
+    # Three survey chunks, uncapped and at cap 50, where most rows step again.
+    cases += [_case(*_MULTI_CHUNK[0], "one", cap) for cap in (UNCAPPED, 50)]
     # A window whose lanes merge, uncapped and with followers of capped leaders.
     cases += [_case(*_exact_wide_windows()[0], "one", cap) for cap in (UNCAPPED, 100)]
     # Windows with many big rows, whose exact peaks are combined along the chains.
