@@ -253,28 +253,25 @@ def _initial_row(args, mode: rule30.BoundaryMode) -> rule30.Row:
 _PBM_BLOCK_BYTES = 1 << 16
 
 
-def _write_pbm(write, width: int, height: int, generations) -> np.ndarray:
+def _write_pbm(write, width: int, height: int, generations) -> None:
     """``height`` (width, bits) generations, the last ``width`` cells wide,
     as PBM P1, formatted and written a block of rows at a time as they
     come; no row is kept past its block.
 
     Rows narrower than the last one (EXPAND_ZERO) are centered on zeros.
-    Each row's cells come from one format() of its bits; numpy lays the
-    digits at even offsets between spaces and a closing newline. Returns
-    the bits of column ``width // 2``, the site :func:`rule30.center_column` tracks.
+    Each row's cells come from one to_bytes() of its bits, unpacked by
+    numpy. A cell and the gap after it are one little-endian uint16: the
+    digit, then a space, or a newline after the row's last cell.
     """
     write(f"P1\n{width} {height}\n".encode("ascii"))
-    template = f"0{width}b"
+    size = (width + 7) // 8  # bytes per row; the cells are its last width bits
     per_block = max(1, _PBM_BLOCK_BYTES // (2 * width))
-    center = []
-    while rows := [format(bits << (width - w) // 2, template)
+    while rows := [(bits << (width - w) // 2).to_bytes(size, "big")
                    for w, bits in itertools.islice(generations, per_block)]:
-        block = np.full((len(rows), 2 * width), ord(" "), dtype=np.uint8)
-        block[:, ::2] = np.frombuffer("".join(rows).encode("ascii"), np.uint8).reshape(-1, width)
-        block[:, -1] = ord("\n")
-        center.append(block[:, width // 2 * 2] - ord("0"))
+        packed = np.frombuffer(b"".join(rows), np.uint8).reshape(len(rows), size)
+        block = np.unpackbits(packed, axis=1)[:, -width:].astype("<u2") + 0x2030  # "0" + cell, " "
+        block[:, -1] -= 0x2000 - 0x0A00  # a newline, not a space, after the last cell
         write(block.tobytes())
-    return np.concatenate(center)
 
 
 def _cmd_rule30(args) -> int:
@@ -284,14 +281,13 @@ def _cmd_rule30(args) -> int:
         args.mode = "expand" if args.init == "single" else "wrap"
     mode = rule30.BoundaryMode(args.mode)
     initial = _initial_row(args, mode)
-    if args.pbm is None:
-        column = rule30.center_column(initial, args.steps, mode)
-    else:
+    if args.pbm is not None:
         # The caps are checked here, before the file is opened.
         width, generations = rule30._grid(initial, args.steps, mode)
         with _output(args.pbm) as write:
-            column = _write_pbm(write, width, args.steps + 1, generations)
+            _write_pbm(write, width, args.steps + 1, generations)
     if args.center is not None:
+        column = rule30.center_column(initial, args.steps, mode)
         lines = np.full((len(column), 2), ord("\n"), dtype=np.uint8)
         lines[:, 0] = column + ord("0")
         with _output(args.center) as write:

@@ -265,7 +265,9 @@ def trace(n: int, rule: StopRule | None = None) -> TraceRecord:
     the current value has already been visited in this trajectory.
     """
     require_int(n, "n", 1)
-    steps, peak, _, cur, symbols, code = _exact(n, rule or StopRule(), True)
+    rule = StopRule() if rule is None else rule
+    require_member(rule, StopRule, "rule")
+    steps, peak, _, cur, symbols, code = _exact(n, rule, True)
     return TraceRecord(
         n=n,
         trace=symbols,
@@ -434,11 +436,11 @@ def _keep(index, *columns):
     return [column[index] for column in columns]
 
 
-def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarray,
+def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarray,
                   l_count: np.ndarray, peaks: np.ndarray, codes: np.ndarray,
                   big_peaks: dict[int, int]) -> None:
-    """Fill rows [base, stop) of the columns under the AT_ONE ``rule`` by
-    memoized descent. Rows before ``base`` are final.
+    """Fill rows [base, stop) of the columns as AT_ONE rows capped at
+    ``max_steps``, by memoized descent. Rows before ``base`` are final.
 
     Each row's lane steps until its value falls below its start while
     still in the range (its descent target) or reaches 1. The row's
@@ -446,7 +448,7 @@ def _survey_chunk(lo: int, base: int, stop: int, rule: StopRule, steps: np.ndarr
     peaks and stop codes take the max. A row whose total so found tops
     the cap, or meets a capped row, steps again in the same lockstep.
     """
-    max_steps, size, first = rule.max_steps, stop - base, lo + base
+    size, first = stop - base, lo + base
     low = min(lo, _INT64_MAX)  # lo in int64 arithmetic; no lane past int64 descends
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
     # Offset of each row's descent target or leader; negative for none.
@@ -658,7 +660,8 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     """
     require_int(lo, "lo", 1)
     require_int(hi, "hi", lo)
-    rule = rule or StopRule()
+    rule = StopRule() if rule is None else rule
+    require_member(rule, StopRule, "rule")
     size = hi - lo + 1
     if size > RANGE_CAP:
         raise ResourceError(f"range size {size} exceeds cap {RANGE_CAP}")
@@ -672,10 +675,9 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     peaks = (np.arange(lo, hi + 1, dtype=np.int64) if hi <= _INT64_MAX else
              np.r_[np.arange(min(lo, _INT64_MAX), _INT64_MAX),
                    np.full(min(size, hi - _INT64_MAX + 1), _INT64_MAX)])
-    at_one = StopRule.at_one(rule.max_steps)
     for base in range(0, size, _CHUNK):
-        _survey_chunk(lo, base, min(base + _CHUNK, size), at_one, steps, l_count, peaks, codes,
-                      big_peaks)
+        _survey_chunk(lo, base, min(base + _CHUNK, size), rule.max_steps, steps, l_count, peaks,
+                      codes, big_peaks)
     # ON_REPEAT rows are the AT_ONE rows turned by _repeat_rows; the rows it
     # leaves go to the seen-set stepper, which alone can find a cycle.
     if rule.mode is StopMode.ON_REPEAT:

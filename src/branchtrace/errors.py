@@ -44,7 +44,8 @@ def require_int(value, name: str, least: int | None = None) -> None:
 
 
 def require_member(value, kind, name: str) -> None:
-    """Raise :class:`DomainError` unless ``value`` is a member of the enum
-    ``kind``: its value alone (``"wrap"``) is not one."""
+    """Raise :class:`DomainError` unless ``value`` is an instance of the
+    class ``kind``; for an enum, a member's value alone (``"wrap"``) is
+    not one."""
     if not isinstance(value, kind):
         raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")

@@ -69,7 +69,7 @@ class Row:
 
     @classmethod
     def from01(cls, text: str) -> "Row":
-        if not text or set(text) - {"0", "1"}:
+        if not isinstance(text, str) or not text or set(text) - {"0", "1"}:
             raise DomainError("row text must be a non-empty string of 0/1")
         return cls(len(text), int(text, 2))
 
@@ -131,6 +131,7 @@ def _generations(initial: Row, mode: BoundaryMode) -> Iterator[tuple[int, int]]:
 
 def step_row(row: Row, mode: BoundaryMode) -> Row:
     """Advance one generation under the given boundary convention."""
+    require_member(row, Row, "row")
     require_member(mode, BoundaryMode, "mode")
     generations = _generations(row, mode)
     next(generations)
@@ -159,6 +160,7 @@ def _check_caps(width: int, steps: int, mode: BoundaryMode, grid: bool = False) 
 def _grid(initial: Row, steps: int, mode: BoundaryMode) -> tuple[int, Iterator[tuple[int, int]]]:
     """The final width and the (width, bits) of generations 0..steps, once
     every cap holds: a grid past CELL_CAP is refused before any stepping."""
+    require_member(initial, Row, "initial row")
     final_width = _check_caps(initial.width, steps, mode, grid=True)
     return final_width, itertools.islice(_generations(initial, mode), steps + 1)
 
@@ -185,6 +187,7 @@ def center_column(initial: Row, steps: int, mode: BoundaryMode) -> np.ndarray:
     EXPAND_ZERO the site shifts by one index per generation as the row
     grows on the left. Rows are not retained, so long columns are cheap.
     """
+    require_member(initial, Row, "initial row")
     _check_caps(initial.width, steps, mode)
     bits, width = initial.bits, initial.width
     pos = width - 1 - width // 2  # bit position of the tracked site

@@ -378,22 +378,6 @@ def test_rule30_pbm_blocks_split_anywhere(monkeypatch, tmp_path, golden_dir, arg
     assert center.read_bytes() == (golden_dir / f"{golden}_center.txt").read_bytes()
 
 
-@pytest.mark.parametrize("block_bytes", [1, 2500])
-@pytest.mark.parametrize("args, golden", RULE30_GOLDENS)
-def test_rule30_pbm_and_center_step_the_automaton_once(monkeypatch, tmp_path, golden_dir, args,
-                                                       golden, block_bytes):
-    # With --pbm the center column is read off the PBM's blocks.
-    def center_column(*_):
-        raise AssertionError("the center column stepped the automaton again")
-
-    monkeypatch.setattr(cli, "_PBM_BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(cli.rule30, "center_column", center_column)
-    pbm, center = tmp_path / "g.pbm", tmp_path / "c.txt"
-    assert cli.main(["rule30", *map(str, args), "--pbm", str(pbm), "--center", str(center)]) == 0
-    assert pbm.read_bytes() == (golden_dir / f"{golden}.pbm").read_bytes()
-    assert center.read_bytes() == (golden_dir / f"{golden}_center.txt").read_bytes()
-
-
 @pytest.mark.parametrize("center", [False, True])
 @pytest.mark.parametrize("args, golden", RULE30_GOLDENS)
 def test_rule30_pbm_streams_without_a_grid(monkeypatch, tmp_path, golden_dir, args, golden,
@@ -441,14 +425,16 @@ def test_rule30_grid_over_the_cell_cap_is_refused_before_any_file(monkeypatch, t
     ("--init", "random", "--width", 10, "--seed", 5, "--steps", 40, "--mode", "expand"),
     ("--init", "single", "--width", 7, "--mode", "wrap", "--steps", 40),
     ("--init", "single", "--width", 1, "--steps", 1),
+    ("--init", "random", "--width", 9, "--seed", 3, "--steps", 6),
 ])
 def test_rule30_center_from_pbm_matches_the_center_column(tmp_path, args):
-    # Even widths track the right one of the two middle cells.
-    pbm, both, alone = tmp_path / "g.pbm", tmp_path / "both.txt", tmp_path / "alone.txt"
-    args = [*map(str, args)]
-    assert cli.main(["rule30", *args, "--pbm", str(pbm), "--center", str(both)]) == 0
-    assert cli.main(["rule30", *args, "--center", str(alone)]) == 0
-    assert both.read_bytes() == alone.read_bytes()
+    # The two files are computed apart; the column sits at width // 2 of
+    # the image. Even widths track the right one of the two middle cells.
+    pbm, center = tmp_path / "g.pbm", tmp_path / "c.txt"
+    assert cli.main(["rule30", *map(str, args), "--pbm", str(pbm), "--center", str(center)]) == 0
+    _, size, *rows = pbm.read_text().splitlines()
+    width = int(size.split()[0])
+    assert center.read_text().splitlines() == [row.split()[width // 2] for row in rows]
 
 
 def test_rule30_center_column_file(tmp_path):
@@ -461,19 +447,6 @@ def test_rule30_center_column_file(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 4097
     assert set("".join(lines)) <= {"0", "1"}
-
-
-def test_rule30_center_matches_pbm_column(tmp_path):
-    pbm = tmp_path / "g.pbm"
-    center = tmp_path / "c.txt"
-    proc = run(
-        "rule30", "--init", "random", "--width", "9", "--seed", "3",
-        "--steps", "6", "--pbm", pbm, "--center", center,
-    )
-    assert proc.returncode == 0
-    rows = pbm.read_text().splitlines()[2:]
-    middle = [row.split()[4] for row in rows]
-    assert center.read_text().splitlines() == middle
 
 
 def test_rule30_wrap_single_requires_width(tmp_path):

@@ -1,7 +1,8 @@
 """Every public integer parameter goes through ``errors.require_int``: a
 bool, a float, a numeric string or a value one below the least allowed
 raises :class:`DomainError` (a ``ValueError``). Seeds take any int. A
-``mode`` must be a member of its enum, not the member's value."""
+``mode`` must be a member of its enum, not the member's value; a stop
+rule must be a ``StopRule`` and a rule 30 row a ``Row``."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from branchtrace.errors import DomainError
 from branchtrace.prng import XorShift64Star
 
 EXPAND = rule30.BoundaryMode.EXPAND_ZERO
+WRAP = rule30.BoundaryMode.WRAP
 
 # (name, call taking the value under test, least allowed value)
 SITES = [
@@ -97,6 +99,29 @@ def test_modes_reject_non_members(call, kind):
             call(bad)
     for member in kind:
         call(member)
+
+
+# (name, call taking the object under test, a valid object, objects it refuses)
+RULES = (collatz.StopMode.AT_ONE, "one", 0, True)
+ROWS = ("101", 5)
+OBJECT_SITES = [
+    ("collatz.trace:rule", lambda r: collatz.trace(7, r), collatz.StopRule(), RULES),
+    ("collatz.survey:rule", lambda r: collatz.survey(1, 10, r), collatz.StopRule(), RULES),
+    ("rule30.center_column:initial", lambda r: rule30.center_column(r, 3, WRAP),
+     rule30.Row.from01("101"), ROWS),
+    ("rule30.step_row:row", lambda r: rule30.step_row(r, WRAP), rule30.Row.from01("101"), ROWS),
+    ("rule30.evolve:initial", lambda r: rule30.evolve(r, 2, WRAP), rule30.Row.from01("1"), ROWS),
+    ("rule30.Row.from01:text", rule30.Row.from01, "01", (["0", "1"], 5)),
+]
+
+
+@pytest.mark.parametrize("call,good,bad", [pytest.param(call, good, bad, id=name)
+                                           for name, call, good, bad in OBJECT_SITES])
+def test_rules_and_rows_reject_other_objects(call, good, bad):
+    for value in bad:
+        with pytest.raises(DomainError):
+            call(value)
+    call(good)
 
 
 # (name, call taking the seed under test)
