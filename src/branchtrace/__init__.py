@@ -14,90 +14,41 @@ of conditional branches a computation takes for a given input.
 * :mod:`branchtrace.dyncompose` is a toy keyed digest whose round
   schedule is its own branch trace (not a cryptographic primitive).
 * :mod:`branchtrace.cli` is the `branchtrace` command.
+
+Each package-level name loads its module on first use (PEP 562), so
+``import branchtrace`` alone imports no submodule and no numpy.
 """
 
-from . import bounds, collatz, dyncompose, randstat, rule30, special
-from .bounds import (
-    BoundReport,
-    bound_report,
-    composition_labels,
-    description_bits,
-    paths_at_depth,
-)
-from .collatz import (
-    StopMode,
-    StopReason,
-    StopRule,
-    SurveyResult,
-    TraceRecord,
-    decode,
-    replay,
-    survey,
-    trace,
-)
-from .errors import (
-    BlockLengthError,
-    BranchTraceError,
-    DomainError,
-    InconsistentTrace,
-    KeyLengthError,
-    ResourceError,
-)
-from .prng import XorShift64Star
-from .randstat import (
-    AvalancheReport,
-    TestReport,
-    avalanche,
-    battery,
-    monobit,
-    runs_test,
-    serial_test,
-    shannon_entropy,
-)
-from .rule30 import BoundaryMode, Grid, Row, center_column, evolve, random_row, step_row
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BlockLengthError",
-    "BoundaryMode",
-    "BoundReport",
-    "BranchTraceError",
-    "DomainError",
-    "Grid",
-    "InconsistentTrace",
-    "KeyLengthError",
-    "ResourceError",
-    "Row",
-    "StopMode",
-    "StopReason",
-    "StopRule",
-    "SurveyResult",
-    "TestReport",
-    "AvalancheReport",
-    "XorShift64Star",
-    "avalanche",
-    "battery",
-    "bound_report",
-    "bounds",
-    "center_column",
-    "collatz",
-    "composition_labels",
-    "decode",
-    "description_bits",
-    "dyncompose",
-    "evolve",
-    "monobit",
-    "paths_at_depth",
-    "random_row",
-    "randstat",
-    "replay",
-    "rule30",
-    "runs_test",
-    "serial_test",
-    "shannon_entropy",
-    "special",
-    "step_row",
-    "survey",
-    "trace",
-]
+# Each public name, under the module that defines it; a module listed
+# among its own names is exported as the module itself.
+_MODULE_NAMES = {
+    "bounds": "bounds BoundReport bound_report composition_labels description_bits paths_at_depth",
+    "collatz": "collatz StopMode StopReason StopRule SurveyResult TraceRecord decode replay "
+               "survey trace",
+    "dyncompose": "dyncompose",
+    "errors": "BlockLengthError BranchTraceError DomainError InconsistentTrace KeyLengthError "
+              "ResourceError",
+    "prng": "XorShift64Star",
+    "randstat": "randstat AvalancheReport TestReport avalanche battery monobit runs_test "
+                "serial_test shannon_entropy",
+    "rule30": "rule30 BoundaryMode Grid Row center_column evolve random_row step_row",
+    "special": "special",
+}
+_HOME = {name: module for module, names in _MODULE_NAMES.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    globals()[name] = module if name == _HOME[name] else getattr(module, name)
+    return globals()[name]  # kept, so later lookups skip this function
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -111,7 +111,7 @@ def bound_report(lo: int, hi: int,
     reached = result.stop_codes == 0
     capped = tuple(int(i) + lo for i in np.nonzero(~reached)[0])
 
-    ns = np.arange(lo, hi + 1, dtype=np.int64 if hi <= collatz._INT64_MAX else object)[reached]
+    ns = np.arange(lo, hi + 1, dtype=np.int64 if hi <= np.iinfo(np.int64).max else object)[reached]
     # b(n) = k on each power-of-two run [2^(k-1), 2^k) of the range.
     first, last = lo.bit_length(), hi.bit_length()
     edges = [lo, *(1 << k for k in range(first, last)), hi + 1]

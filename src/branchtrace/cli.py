@@ -158,7 +158,7 @@ def _field(column) -> np.ndarray:
     """A block of a column as text in a uint8 matrix, one row per value and
     zero bytes as padding. A column is a range or an int64 array of
     non-negative ints, a uint8 array of stop codes, or a sequence of ints."""
-    if isinstance(column, range) and column[-1] <= collatz._INT64_MAX:
+    if isinstance(column, range) and column[-1] <= np.iinfo(np.int64).max:
         column = np.arange(column.start, column.stop, dtype=np.int64)
     kind = getattr(column, "dtype", None)
     if kind != np.int64:

@@ -52,8 +52,7 @@ DEFAULT_MAX_STEPS = 100_000
 L = "L"
 R = "R"
 
-# Largest int64 value whose odd step 3n+1 still fits in int64.
-_INT64_STEP_GUARD = ((1 << 63) - 2) // 3
+# The survey kernel's word: the largest value its int64 lanes hold.
 _INT64_MAX = (1 << 63) - 1
 
 _CHUNK = 1 << 16
@@ -130,14 +129,6 @@ class TraceSummary:
     peak: int
     l_count: int
     stop_reason: StopReason
-
-
-def step(n: int) -> tuple[int, str]:
-    """One branch: even n halves (L branch), odd n maps to 3n+1 (R branch)."""
-    require_int(n, "n", 1)
-    if n & 1:
-        return 3 * n + 1, R
-    return n >> 1, L
 
 
 _K = 8
@@ -450,6 +441,7 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     """
     size, first = stop - base, lo + base
     low = min(lo, _INT64_MAX)  # lo in int64 arithmetic; no lane past int64 descends
+    guard = (_INT64_MAX - 1) // 3  # the largest value whose odd step 3n + 1 fits int64
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
     # Offset of each row's descent target or leader; negative for none.
     target = np.full(size, -1, dtype=np.int64)
@@ -459,12 +451,13 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     # n/2 (1 step, 1 halving, peak n) for even n >= 2 lo, and (3n + 1)/4
     # (3 steps, 2 halvings, peak 3n + 1) for n = 1 mod 4 with 5 <= n <= the
     # guard, so that 3n + 1 fits int64, 3n + 1 >= 4 lo (n >= (4 lo + 1) // 3)
-    # and a cap of at least 3.
+    # and a cap of at least 3. An even n past int64 reads 2^63 - 1 (see survey),
+    # so no range may hold both it and n/2; no range of RANGE_CAP inputs can.
     n = max(2 * lo, first)
     even = slice(n + (n & 1) - first, size, 2)
     n = max(5, first, (4 * lo + 1) // 3)
     odd = slice(n + (1 - n) % 4 - first,
-                max(0, min(size, _INT64_STEP_GUARD + 1 - first)) if max_steps >= 3 else 0, 4)
+                max(0, min(size, guard + 1 - first)) if max_steps >= 3 else 0, 4)
     s[even], lc[even], target[even] = 1, 1, (pk[even] >> 1) - low
     pk[odd] = 3 * pk[odd] + 1
     s[odd], lc[odd], target[odd] = 3, 2, (pk[odd] >> 2) - low
@@ -495,7 +488,7 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             tail = lane.size <= _TAIL
             if not tail and 2 * taken + wide + 2 > max_steps:
                 left = max_steps - taken - ahead
-                done = (left == 0) | (left == 1) & (cur & 1 == 1) & (cur <= _INT64_STEP_GUARD)
+                done = (left == 0) | (left == 1) & (cur & 1 == 1) & (cur <= guard)
                 if done.any():
                     j = lane[done]
                     s[j], lc[j], cd[j], pk[j] = max_steps, taken + halves[done], 2, np.maximum(
@@ -517,7 +510,7 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             # so its next step leaves int64. A walk capped past the guard leaves its
             # lane at 0, a value no round reaches: the cap check next retires it,
             # or its tail row reads code 2, and the value is not used again.
-            floor = 1 if tail else _INT64_STEP_GUARD
+            floor = 1 if tail else guard
             if tail or int(cur.max()) > floor and (
                     hot := np.nonzero((cur > floor) & (cur & 1 == 1))[0]).size:
                 for k in range(lane.size) if tail else hot.tolist():
@@ -528,7 +521,7 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
                     top[k] = _INT64_MAX if peak >= _INT64_MAX else max(peak, int(top[k]))
                     if peak >= _INT64_MAX:
                         big_peaks[row] = max(peak, big_peaks.get(row, 0))
-                    cur[k] = end if end <= _INT64_STEP_GUARD else 0
+                    cur[k] = end if end <= guard else 0
                 wide = max(wide, int(ahead.max()) - taken)
                 if tail:
                     s[lane], lc[lane], pk[lane], cd[lane] = (

@@ -193,7 +193,7 @@ def center_column(initial: Row, steps: int, mode: BoundaryMode) -> np.ndarray:
     pos = width - 1 - width // 2  # bit position of the tracked site
     if mode is BoundaryMode.WRAP:
         generations = itertools.islice(_generations(initial, mode), steps + 1)
-        out = bytearray([(bits >> pos) & 1 for _, bits in generations])
+        out = bytearray((bits >> pos) & 1 for _, bits in generations)
     else:
         out = bytearray([(bits >> pos) & 1])
         emit = out.append

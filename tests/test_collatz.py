@@ -45,17 +45,10 @@ def test_trace_27_summary():
     assert rec.peak == 9232
 
 
-def test_step_branches():
-    assert collatz.step(4) == (2, "L")
-    assert collatz.step(5) == (16, "R")
-
-
 @pytest.mark.parametrize("bad", [0, -1, 1.5, "6", True, None])
 def test_rejects_non_positive_inputs(bad):
     with pytest.raises(DomainError):
         collatz.trace(bad)
-    with pytest.raises(DomainError):
-        collatz.step(bad)
 
 
 def test_repeat_mode_continues_past_one():
@@ -484,13 +477,12 @@ def test_survey_window_at_the_int64_input_limit(hi):
 
 def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
     # At real scale a row can only descend to a big-peak row in a range
-    # wider than RANGE_CAP. Lowering the overflow guard, the int64 limit
-    # (kept at 3x the guard, as for real) and the chunk puts diverted
-    # lanes, big peaks and chains through them, to targets in the same
-    # chunk and in earlier ones, inside a small dense range.
+    # wider than RANGE_CAP. Lowering the kernel's word (to 3 guard + 1, odd
+    # with an even guard, as for real) and the chunk puts diverted lanes,
+    # big peaks and chains through them, to targets in the same chunk and
+    # in earlier ones, inside a small dense range.
     guard, chunk = 2_000, 512
-    monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
-    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
     monkeypatch.setattr(collatz, "_CHUNK", chunk)
     rules = (collatz.StopRule.at_one(), collatz.StopRule.at_one(60),
              collatz.StopRule.on_repeat(), collatz.StopRule.on_repeat(60))
@@ -504,17 +496,17 @@ def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
             if peak <= guard and target - 1 in result.big_peaks:
                 same_chunk.add((target - 1) // chunk == offset // chunk)
         assert same_chunk == {True, False}
-        assert_big_placeholders(result, 3 * guard)
+        assert_big_placeholders(result, 3 * guard + 1)
         # Lanes that passed the guard, came back without topping the
-        # int64 limit, and then descended to a row in the range.
-        rejoined = [n for n in range(2, 3001) if guard < descent(n)[1] <= 3 * guard]
+        # word, and then descended to a row in the range.
+        rejoined = [n for n in range(2, 3001) if guard < descent(n)[1] <= 3 * guard + 1]
         assert any(n - 1 not in result.big_peaks for n in rejoined)
 
 
 def excursions(n, max_steps=collatz.DEFAULT_MAX_STEPS):
     """[first value, peak] of each run of n's trajectory above the int64
     step guard, and whether the step cap fell inside a run."""
-    guard = collatz._INT64_STEP_GUARD
+    guard = (collatz._INT64_MAX - 1) // 3
     runs, cur, steps = [], n, 0
     while True:
         if cur > guard:
@@ -681,19 +673,18 @@ def test_survey_followers_carry_their_own_excursion_steps(monkeypatch):
 
 
 def test_survey_merges_all_big_groups(monkeypatch):
-    # With the guard lowered, lanes whose clipped peaks all tie at the
-    # int64 limit meet; each group's leader must have the least exact peak.
+    # With the word lowered, lanes whose clipped peaks all tie at the word
+    # meet; each group's leader must have the least exact peak.
     guard = 200_000
-    monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
-    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
     merges = spy_merges(monkeypatch)
     for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(100),
                  collatz.StopRule.on_repeat()):
         merges.clear()
         result = collatz.survey(200_001, 201_000, rule)
         assert_rows_exact(result, range(len(result)))
-        assert_big_placeholders(result, 3 * guard)
-        assert any(top == 3 * guard for _, _, _, top in merges)
+        assert_big_placeholders(result, 3 * guard + 1)
+        assert any(top == 3 * guard + 1 for _, _, _, top in merges)
 
 
 @pytest.mark.parametrize("cap", [60, 100, 300])
@@ -718,8 +709,7 @@ def test_survey_followers_short_of_capped_leaders(monkeypatch, cap):
     # stepper. Also with ranking blocks of 512 rows, where a lane in an
     # earlier block than its leader steps on.
     guard = 2_000_000
-    monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
-    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
     merges = spy_merges(monkeypatch)
     for rank in (512, collatz._RANK):
         monkeypatch.setattr(collatz, "_RANK", rank)
@@ -766,7 +756,8 @@ def pre_retired(n, lo, cap):
     """Whether the survey fills row n from n mod 4 before the lockstep."""
     if n % 2 == 0:
         return n // 2 >= lo
-    return n % 4 == 1 and 1 < n <= collatz._INT64_STEP_GUARD and cap >= 3 and 3 * n + 1 >= 4 * lo
+    guard = (collatz._INT64_MAX - 1) // 3
+    return n % 4 == 1 and 1 < n <= guard and cap >= 3 and 3 * n + 1 >= 4 * lo
 
 
 def spy_tail_starts(monkeypatch):
@@ -814,13 +805,12 @@ def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi)
 def test_survey_guard_cuts_the_pre_retired_rows(monkeypatch, guard, chunk):
     # Rows n = 1 mod 4 above the guard would top int64 at 3n + 1; they stay
     # lanes and go on an excursion. The guard is even, as for real.
-    monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
-    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
     monkeypatch.setattr(collatz, "_CHUNK", chunk)
     starts = spy_tail_starts(monkeypatch)
     result = collatz.survey(1400, 2600)
     assert_rows_exact(result, range(len(result)))
-    assert_big_placeholders(result, 3 * guard)
+    assert_big_placeholders(result, 3 * guard + 1)
     if chunk == 7:
         want = [n for n in range(1400, 2601)
                 if not pre_retired(n, 1400, collatz.DEFAULT_MAX_STEPS)]
@@ -884,10 +874,9 @@ def test_survey_lanes_at_the_int64_step_guard(monkeypatch, guard, cap):
     # above it goes on an excursion. None keeps the real guard; a lowered
     # one is even, as the real one is.
     if guard:
-        monkeypatch.setattr(collatz, "_INT64_STEP_GUARD", guard)
-        monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard)
+        monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
     monkeypatch.setattr(collatz, "_TAIL", 0)
-    guard = collatz._INT64_STEP_GUARD
+    guard = (collatz._INT64_MAX - 1) // 3
     result = collatz.survey(guard - 2, guard + 2, collatz.StopRule.at_one(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result, collatz._INT64_MAX)
@@ -906,3 +895,41 @@ def test_survey_shortcut_rounds_at_chunk_edges(monkeypatch, chunk, lo, hi):
         result = collatz.survey(lo, hi, collatz.StopRule.at_one(*([cap] if cap else [])))
         assert_rows_exact(result, range(len(result)))
         assert_big_placeholders(result)
+
+
+# ------------------------------------------------ a scale model of the kernel
+
+
+def scale_model(seed):
+    """Kernel constants, a range and a rule drawn from ``seed``. The word is
+    2^B - 1 for an odd B in 11-25, so the guard (2^B - 2) / 3 is even and an
+    input past the word is an odd placeholder, as at B = 63; the rare paths
+    of the kernel (excursions, big rows, inputs past the word, all-big merge
+    groups and capped leaders) then fire in ranges of a few thousand rows.
+    No range holds both n and 2n with 2n past the word, which the kernel
+    assumes (see _survey_chunk): at B = 63 no range of RANGE_CAP rows can."""
+    rng = random.Random(seed)
+    word = (1 << rng.randrange(11, 26, 2)) - 1
+    constants = {"_INT64_MAX": word, "_CHUNK": rng.choice([7, 64, 512, 1 << 16]),
+                 "_RANK": rng.choice(RANKS), "_TAIL": rng.choice([0, 1, 32, 256])}
+    lo = max(1, rng.choice([1, rng.randint(1, word), word + rng.randint(-3000, 3000)]))
+    hi = lo + rng.randint(0, 2999)
+    if hi > word:
+        lo = max(lo, hi // 2 + 1)
+    cap = rng.choice([None, int(2 ** rng.uniform(0, 17))])
+    mode = rng.choice(list(collatz.StopMode))
+    return constants, lo, hi, collatz.StopRule(mode, cap or collatz.DEFAULT_MAX_STEPS)
+
+
+@pytest.mark.parametrize("seed", [*range(24), 85, 121, 206, 1561, 2280])
+def test_survey_scale_model(monkeypatch, seed):
+    # Seeds 0-23, with 85, 121 and 206, the first three to catch the kernel
+    # without the deletion of a redone row's stale big_peaks entry, and 1561
+    # and 2280, the only two of 0-2999 to catch it without the reset of the
+    # redone rows' stop codes. No real-scale case catches either.
+    constants, lo, hi, rule = scale_model(seed)
+    for name, value in constants.items():
+        monkeypatch.setattr(collatz, name, value)
+    result = collatz.survey(lo, hi, rule)
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result, constants["_INT64_MAX"])

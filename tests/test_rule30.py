@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -99,6 +101,19 @@ def test_center_column_even_width_uses_right_middle():
     row = Row.from01("0110")
     col = rule30.center_column(row, 0, BoundaryMode.WRAP)
     assert col.tolist() == [row.cell(2)]
+
+
+def test_wrap_center_column_memory_stays_near_its_result():
+    # The bits go straight into the column's bytes: a list of steps + 1
+    # ints before them took nine times the result.
+    row = rule30.random_row(1024, 7)
+    tracemalloc.start()
+    try:
+        col = rule30.center_column(row, 1 << 15, BoundaryMode.WRAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * col.nbytes
 
 
 def test_row_validation():

@@ -15,7 +15,6 @@ WRAP = rule30.BoundaryMode.WRAP
 
 # (name, call taking the value under test, least allowed value)
 SITES = [
-    ("collatz.step:n", collatz.step, 1),
     ("collatz.trace:n", collatz.trace, 1),
     ("collatz.decode:terminal", lambda v: collatz.decode("", v), 1),
     ("collatz.replay:n", lambda v: collatz.replay(v, ""), 1),
