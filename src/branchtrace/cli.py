@@ -11,6 +11,10 @@ uniform exit-code contract:
 All JSON integer fields are decimal strings so values larger than 64
 bits survive every consumer; floats stay floats. Output is fully
 determined by flags and seeds; nothing varies between runs.
+
+Only the modules a subcommand needs are imported: ``trace``, ``invert``,
+``digest`` and ``--help`` run without numpy, which the other subcommands
+and their columnar writers import on first use.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ import os
 import sys
 from typing import Callable, Iterator
 
-import numpy as np
-
-from . import bounds, collatz, dyncompose, randstat, rule30
+from . import collatz, dyncompose
 from .errors import BranchTraceError, InconsistentTrace
 
 
@@ -142,13 +144,20 @@ def _cmd_invert(args) -> int:
 
 # Rows per written block; bounds the text held at once.
 _BLOCK = 1 << 12
-_REASONS = np.array([reason.value for reason in collatz._REASON_CODES], dtype="S")
+
+
+@functools.cache
+def _reasons() -> np.ndarray:
+    """Each stop reason's text, indexed by its stop code."""
+    import numpy as np
+    return np.array([reason.value for reason in collatz._REASON_CODES], dtype="S")
 
 
 @functools.cache
 def _quads() -> np.ndarray:
     """The digits of 0-9999 as uint32s of four ASCII bytes: as the lead of a
     number (leading zeros as zero bytes, 0 as none) and, from 10^4 on, whole."""
+    import numpy as np
     digits = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
     text = (digits % 10 + 48).astype(np.uint8)
     return np.concatenate([(digits > 0) * text, text]).view(np.uint32)[:, 0]
@@ -158,11 +167,12 @@ def _field(column) -> np.ndarray:
     """A block of a column as text in a uint8 matrix, one row per value and
     zero bytes as padding. A column is a range or an int64 array of
     non-negative ints, a uint8 array of stop codes, or a sequence of ints."""
+    import numpy as np
     if isinstance(column, range) and column[-1] <= np.iinfo(np.int64).max:
         column = np.arange(column.start, column.stop, dtype=np.int64)
     kind = getattr(column, "dtype", None)
     if kind != np.int64:
-        text = _REASONS[column] if kind == np.uint8 else np.array([str(v) for v in column], "S")
+        text = _reasons()[column] if kind == np.uint8 else np.array([str(v) for v in column], "S")
         return text.view(np.uint8).reshape(len(text), text.itemsize)
     v = column.view(np.uint64)
     quads = np.empty((len(str(int(v.max()))) + 3 >> 2, v.size), dtype=np.uint32)
@@ -185,6 +195,7 @@ def _write_rows(write, keys: tuple[str, ...], columns: tuple, indent: int | None
     fixed template bytes, written without its zero bytes. Fields need no
     escaping, so the JSON matches json.dumps(indent=2) byte for byte.
     """
+    import numpy as np
     if indent is None:
         write(",".join(keys).encode("ascii") + b"\n")
         pieces = ["", *[","] * (len(keys) - 1), "\n"]
@@ -236,6 +247,7 @@ def _cmd_survey(args) -> int:
 
 
 def _initial_row(args, mode: rule30.BoundaryMode) -> rule30.Row:
+    from . import rule30
     if args.init == "single":
         if args.width is None:
             if args.mode == "wrap":
@@ -263,6 +275,7 @@ def _write_pbm(write, width: int, height: int, generations) -> None:
     numpy. A cell and the gap after it are one little-endian uint16: the
     digit, then a space, or a newline after the row's last cell.
     """
+    import numpy as np
     write(f"P1\n{width} {height}\n".encode("ascii"))
     size = (width + 7) // 8  # bytes per row; the cells are its last width bits
     per_block = max(1, _PBM_BLOCK_BYTES // (2 * width))
@@ -275,6 +288,9 @@ def _write_pbm(write, width: int, height: int, generations) -> None:
 
 
 def _cmd_rule30(args) -> int:
+    import numpy as np
+
+    from . import rule30
     if args.pbm is None and args.center is None:
         raise _CliError(2, "nothing to do: pass --pbm and/or --center")
     if args.mode is None:
@@ -312,6 +328,7 @@ def _report_payload(report: randstat.TestReport) -> dict:
 
 
 def _cmd_test(args) -> int:
+    from . import randstat
     stream = "".join(_read_text(args.infile).split())
     if not stream:
         raise _CliError(2, f"{args.infile} holds no bits")
@@ -337,6 +354,7 @@ _BOUND_HEADER = ("n", "b_bits", "r_symbols", "l_count")
 
 
 def _cmd_bound(args) -> int:
+    from . import bounds
     report = bounds.bound_report(args.lo, args.hi)
     columns = (report.n, report.b_bits, report.r_symbols, report.l_count)
     with _output(args.out) as write:
@@ -422,7 +440,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_natural, default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--steps", type=_natural, required=True)
-    p.add_argument("--mode", choices=[mode.value for mode in rule30.BoundaryMode], default=None,
+    # rule30.BoundaryMode's values, written out so that building the parser
+    # imports no numpy; a test pins them to the enum.
+    p.add_argument("--mode", choices=("wrap", "expand"), default=None,
                    help="default: expand for --init single, wrap for random")
     p.add_argument("--pbm", default=None, help="write the full grid as PBM P1")
     p.add_argument("--center", default=None,
@@ -432,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="statistical test over a 0/1 text file")
     p.add_argument("test", choices=("monobit", "runs", "serial", "entropy"))
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--alpha", type=_alpha, default=randstat.DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=_alpha, default=0.01)  # randstat.DEFAULT_ALPHA, pinned too
     p.add_argument("--k", type=int, choices=(2, 3, 4), default=2,
                    help="serial test block size")
     p.set_defaults(func=_cmd_test)

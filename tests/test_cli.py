@@ -5,6 +5,7 @@ exit codes, stdout/stderr routing, and file outputs are all exercised
 exactly as a user sees them.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from branchtrace import bounds, cli, collatz
+from branchtrace import bounds, cli, collatz, dyncompose, randstat, rule30
 
 CMD = [sys.executable, "-m", "branchtrace"]
 
@@ -386,8 +387,8 @@ def test_rule30_pbm_streams_without_a_grid(monkeypatch, tmp_path, golden_dir, ar
     def refuse(*_):
         raise AssertionError("the CLI built the whole grid")
 
-    monkeypatch.setattr(cli.rule30, "evolve", refuse)
-    monkeypatch.setattr(cli.rule30, "Grid", refuse)
+    monkeypatch.setattr(rule30, "evolve", refuse)
+    monkeypatch.setattr(rule30, "Grid", refuse)
     pbm, column = tmp_path / "g.pbm", tmp_path / "c.txt"
     argv = ["rule30", *map(str, args), "--pbm", str(pbm)]
     assert cli.main(argv + ["--center", str(column)] * center) == 0
@@ -410,7 +411,7 @@ def test_rule30_grid_over_the_cell_cap_is_refused_before_any_file(monkeypatch, t
     def refuse(*_):
         raise AssertionError("the random row was built before the caps were checked")
 
-    monkeypatch.setattr(cli.rule30, "random_row", refuse)
+    monkeypatch.setattr(rule30, "random_row", refuse)
     pbm, column = tmp_path / "g.pbm", tmp_path / "c.txt"
     argv = ["rule30", *map(str, args), "--pbm", str(pbm)]
     start = time.perf_counter()
@@ -640,6 +641,53 @@ def test_help_exits_zero():
     assert proc.returncode == 0
     for name in ("trace", "invert", "survey", "rule30", "test", "bound", "digest"):
         assert name in proc.stdout
+
+
+def _option(command, dest):
+    """The parser's action for ``command``'s option ``dest``."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_rule30_mode_choices_are_the_boundary_modes():
+    # Written out in the parser, so that building it imports no numpy.
+    assert list(_option("rule30", "mode").choices) == [m.value for m in rule30.BoundaryMode]
+
+
+def test_test_alpha_default_is_randstat_default(tmp_path, capsys):
+    assert _option("test", "alpha").default == randstat.DEFAULT_ALPHA
+    bits = write_bits(tmp_path, "alt.txt", "01" * 50)
+    assert cli.main(["test", "monobit", "--in", str(bits)]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == randstat.DEFAULT_ALPHA
+
+
+# The functions perfbench's tracer wraps by setattr on their module, with a
+# command that must reach the wrapper: the CLI calls each through its module.
+SEAMS = [
+    (collatz, "survey", ["survey", "1", "10"]),
+    (collatz, "survey", ["bound", "1", "10"]),  # through bounds.bound_report
+    (bounds, "bound_report", ["bound", "1", "10"]),
+    (rule30, "center_column", ["rule30", "--steps", "20", "--center", "{tmp}/c.txt"]),
+    (randstat, "shannon_entropy", ["test", "entropy", "--in", "{tmp}/bits.txt"]),
+    (dyncompose, "digest", ["digest", "--key", "0" * 64, "--in", "{tmp}/bits.txt"]),
+]
+
+
+@pytest.mark.parametrize("module, name, argv", SEAMS)
+def test_cli_calls_reach_functions_patched_on_their_module(monkeypatch, tmp_path, capsys,
+                                                           module, name, argv):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    write_bits(tmp_path, "bits.txt", "0110" * 50)
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    assert len(calls) == 1
 
 
 def test_console_script_installed(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchtrace import collatz
+from branchtrace import _survey, collatz
 from branchtrace.errors import DomainError, InconsistentTrace, ResourceError
 
 import oracles
@@ -434,14 +434,14 @@ def test_survey_descents_below_lo(lo, hi):
 
 
 # Rows per ranking block: one, 7 (no divisor of a chunk), 64 and the default.
-RANKS = (1, 7, 64, collatz._RANK)
+RANKS = (1, 7, 64, _survey._RANK)
 
 
 def test_survey_chunk_edges_with_earlier_and_same_chunk_targets(monkeypatch):
-    chunk = collatz._CHUNK
+    chunk = _survey._CHUNK
     offsets = [*range(chunk - 60, chunk + 60), *range(2 * chunk - 60, 2 * chunk + 60)]
     for rank in RANKS:
-        monkeypatch.setattr(collatz, "_RANK", rank)
+        monkeypatch.setattr(_survey, "_RANK", rank)
         assert_rows_exact(collatz.survey(1, 2 * chunk + 60), offsets)
     same = earlier = 0
     for offset in offsets:
@@ -458,7 +458,7 @@ def test_survey_cap_at_a_descending_rows_total(monkeypatch, cap):
     # With lo = 1 every row descends to a row in the range; 27 takes 111
     # steps in all and 97 takes 118.
     for rank in RANKS:
-        monkeypatch.setattr(collatz, "_RANK", rank)
+        monkeypatch.setattr(_survey, "_RANK", rank)
         result = collatz.survey(1, 120, collatz.StopRule.at_one(cap))
         assert_rows_exact(result, range(len(result)))
         for n, total in ((27, 111), (97, 118)):
@@ -482,12 +482,12 @@ def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
     # big peaks and chains through them, to targets in the same chunk and
     # in earlier ones, inside a small dense range.
     guard, chunk = 2_000, 512
-    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
-    monkeypatch.setattr(collatz, "_CHUNK", chunk)
+    monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
+    monkeypatch.setattr(_survey, "_CHUNK", chunk)
     rules = (collatz.StopRule.at_one(), collatz.StopRule.at_one(60),
              collatz.StopRule.on_repeat(), collatz.StopRule.on_repeat(60))
     for rank, rule in itertools.product(RANKS, rules):
-        monkeypatch.setattr(collatz, "_RANK", rank)
+        monkeypatch.setattr(_survey, "_RANK", rank)
         result = collatz.survey(1, 3000, rule)
         assert_rows_exact(result, range(len(result)))
         same_chunk = set()
@@ -506,7 +506,7 @@ def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
 def excursions(n, max_steps=collatz.DEFAULT_MAX_STEPS):
     """[first value, peak] of each run of n's trajectory above the int64
     step guard, and whether the step cap fell inside a run."""
-    guard = (collatz._INT64_MAX - 1) // 3
+    guard = (_survey._INT64_MAX - 1) // 3
     runs, cur, steps = [], n, 0
     while True:
         if cur > guard:
@@ -534,7 +534,7 @@ def test_survey_lanes_rejoin_after_excursions():
     assert_big_placeholders(result)
     runs = {offset: excursions(lo + offset)[0] for offset in range(len(result))}
     assert max(len(r) for r in runs.values()) >= 5
-    assert any(runs[offset][0][1] <= collatz._INT64_MAX for offset in result.big_peaks)
+    assert any(runs[offset][0][1] <= _survey._INT64_MAX for offset in result.big_peaks)
 
 
 @pytest.mark.parametrize("lo, cap", [((1 << 62) - 60, 4), ((1 << 62) - 60, 40),
@@ -608,10 +608,10 @@ def test_survey_inputs_past_int64_start_as_excursion_lanes(monkeypatch, tail, lo
     # An input past int64 reads 2^63 - 1 in the lockstep, and its lane starts
     # from the input: in the tail at round 0 (30 lanes, tail 32) or on an
     # excursion (no tail). The per-row exact stepper gets no row at all.
-    monkeypatch.setattr(collatz, "_TAIL", tail)
+    monkeypatch.setattr(_survey, "_TAIL", tail)
     starts = spy_tail_starts(monkeypatch)
     with monkeypatch.context() as patch:
-        patch.setattr(collatz, "_exact", refuse)
+        patch.setattr(_survey, "_exact", refuse)
         result = collatz.survey(lo, lo + 29, collatz.StopRule.at_one(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result)
@@ -634,7 +634,7 @@ def test_survey_at_one_rows_never_reach_the_per_row_stepper(monkeypatch, lo, hi,
     # Capped rows, their descendants and merge followers step again in the
     # lockstep; only ON_REPEAT leftovers go to the per-row stepper.
     with monkeypatch.context() as patch:
-        patch.setattr(collatz, "_exact", refuse)
+        patch.setattr(_survey, "_exact", refuse)
         result = collatz.survey(lo, hi, collatz.StopRule.at_one(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
 
@@ -646,7 +646,7 @@ def spy_merges(monkeypatch):
     """Record every lane merge of the survey lockstep as (follower row,
     leader row, follower's steps so far minus the leader's, leader's
     clipped peak so far); rows are offsets into the lane's chunk."""
-    merges, keep = [], collatz._keep
+    merges, keep = [], _survey._keep
 
     def spy(index, lane, span, cur, top, halves, ahead):
         if index.dtype != bool:  # a merge keeps its leaders by index
@@ -656,7 +656,7 @@ def spy_merges(monkeypatch):
                 merges.append((int(lane[i]), int(lane[k]), int(ahead[i] - ahead[k]), int(top[k])))
         return keep(index, lane, span, cur, top, halves, ahead)
 
-    monkeypatch.setattr(collatz, "_keep", spy)
+    monkeypatch.setattr(_survey, "_keep", spy)
     return merges
 
 
@@ -676,7 +676,7 @@ def test_survey_merges_all_big_groups(monkeypatch):
     # With the word lowered, lanes whose clipped peaks all tie at the word
     # meet; each group's leader must have the least exact peak.
     guard = 200_000
-    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
+    monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
     merges = spy_merges(monkeypatch)
     for rule in (collatz.StopRule.at_one(), collatz.StopRule.at_one(100),
                  collatz.StopRule.on_repeat()):
@@ -709,10 +709,10 @@ def test_survey_followers_short_of_capped_leaders(monkeypatch, cap):
     # stepper. Also with ranking blocks of 512 rows, where a lane in an
     # earlier block than its leader steps on.
     guard = 2_000_000
-    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
+    monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
     merges = spy_merges(monkeypatch)
-    for rank in (512, collatz._RANK):
-        monkeypatch.setattr(collatz, "_RANK", rank)
+    for rank in (512, _survey._RANK):
+        monkeypatch.setattr(_survey, "_RANK", rank)
         merges.clear()
         result = collatz.survey(4_000_000, 4_000_999, collatz.StopRule.at_one(cap))
         assert_rows_exact(result, range(len(result)))
@@ -728,8 +728,8 @@ def test_survey_tail_handoff_at_chunk_edges(monkeypatch, tail, lo, hi, cap):
     # Chunks of 256 rows: the last lanes of each chunk go to the exact
     # stepper (all of them at tail 256, none at 0) and rows of the next
     # chunk descend to them.
-    monkeypatch.setattr(collatz, "_CHUNK", 256)
-    monkeypatch.setattr(collatz, "_TAIL", tail)
+    monkeypatch.setattr(_survey, "_CHUNK", 256)
+    monkeypatch.setattr(_survey, "_TAIL", tail)
     rule = collatz.StopRule.at_one(*([cap] if cap else []))
     result = collatz.survey(lo, hi, rule)
     assert_rows_exact(result, range(len(result)))
@@ -756,7 +756,7 @@ def pre_retired(n, lo, cap):
     """Whether the survey fills row n from n mod 4 before the lockstep."""
     if n % 2 == 0:
         return n // 2 >= lo
-    guard = (collatz._INT64_MAX - 1) // 3
+    guard = (_survey._INT64_MAX - 1) // 3
     return n % 4 == 1 and 1 < n <= guard and cap >= 3 and 3 * n + 1 >= 4 * lo
 
 
@@ -764,14 +764,14 @@ def spy_tail_starts(monkeypatch):
     """Record the start value of every lane the lockstep walks in its tail:
     the lockstep's one ``_walk`` site, called with floor 1 as its third
     positional argument (an excursion passes the guard there)."""
-    starts, walk = [], collatz._walk
+    starts, walk = [], _survey._walk
 
     def spy(*args, **kwargs):
         if len(args) == 3 and args[2] == 1 and not kwargs:
             starts.append(args[0])
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(collatz, "_walk", spy)
+    monkeypatch.setattr(_survey, "_walk", spy)
     return starts
 
 
@@ -785,7 +785,7 @@ def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi)
     # to the exact stepper before any round, so they are exactly the rows
     # that were not pre-retired; then its pre-retired rows whose trajectory
     # tops the cap step again from their inputs, in the tail too.
-    monkeypatch.setattr(collatz, "_CHUNK", chunk)
+    monkeypatch.setattr(_survey, "_CHUNK", chunk)
     starts = spy_tail_starts(monkeypatch)
     rule = collatz.StopRule.at_one(*([cap] if cap else []))
     result = collatz.survey(lo, hi, rule)
@@ -805,8 +805,8 @@ def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi)
 def test_survey_guard_cuts_the_pre_retired_rows(monkeypatch, guard, chunk):
     # Rows n = 1 mod 4 above the guard would top int64 at 3n + 1; they stay
     # lanes and go on an excursion. The guard is even, as for real.
-    monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
-    monkeypatch.setattr(collatz, "_CHUNK", chunk)
+    monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
+    monkeypatch.setattr(_survey, "_CHUNK", chunk)
     starts = spy_tail_starts(monkeypatch)
     result = collatz.survey(1400, 2600)
     assert_rows_exact(result, range(len(result)))
@@ -824,14 +824,14 @@ def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
     # lanes and merge at their own pace: over the benchmark's exact_wide
     # windows at seed 1, 47 of the rounds merge.
     rounds = []
-    keep = collatz._keep
+    keep = _survey._keep
 
     def spy(index, *columns):
         if index.dtype != bool:  # a merge keeps its leaders by index
             rounds.append(index.size)
         return keep(index, *columns)
 
-    monkeypatch.setattr(collatz, "_keep", spy)
+    monkeypatch.setattr(_survey, "_keep", spy)
     collatz.survey(1, 10**6)
     assert rounds == []
     for lo in (2000264931193, 13652651775475, 90369518052770, 698049293593410,
@@ -874,12 +874,12 @@ def test_survey_lanes_at_the_int64_step_guard(monkeypatch, guard, cap):
     # above it goes on an excursion. None keeps the real guard; a lowered
     # one is even, as the real one is.
     if guard:
-        monkeypatch.setattr(collatz, "_INT64_MAX", 3 * guard + 1)
-    monkeypatch.setattr(collatz, "_TAIL", 0)
-    guard = (collatz._INT64_MAX - 1) // 3
+        monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
+    monkeypatch.setattr(_survey, "_TAIL", 0)
+    guard = (_survey._INT64_MAX - 1) // 3
     result = collatz.survey(guard - 2, guard + 2, collatz.StopRule.at_one(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
-    assert_big_placeholders(result, collatz._INT64_MAX)
+    assert_big_placeholders(result, _survey._INT64_MAX)
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
@@ -889,8 +889,8 @@ def test_survey_shortcut_rounds_at_chunk_edges(monkeypatch, chunk, lo, hi):
     # lockstep, so small caps and caps between an R and its L retire
     # lanes at chunk edges; in the dense ranges rows also descend into
     # earlier chunks.
-    monkeypatch.setattr(collatz, "_CHUNK", chunk)
-    monkeypatch.setattr(collatz, "_TAIL", 0)
+    monkeypatch.setattr(_survey, "_CHUNK", chunk)
+    monkeypatch.setattr(_survey, "_TAIL", 0)
     for cap in [None, 1, 2, 3, 4, *caps_between_r_and_l(lo + 26, 3)]:
         result = collatz.survey(lo, hi, collatz.StopRule.at_one(*([cap] if cap else [])))
         assert_rows_exact(result, range(len(result)))
@@ -929,7 +929,7 @@ def test_survey_scale_model(monkeypatch, seed):
     # redone rows' stop codes. No real-scale case catches either.
     constants, lo, hi, rule = scale_model(seed)
     for name, value in constants.items():
-        monkeypatch.setattr(collatz, name, value)
+        monkeypatch.setattr(_survey, name, value)
     result = collatz.survey(lo, hi, rule)
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result, constants["_INT64_MAX"])

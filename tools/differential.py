@@ -1,6 +1,7 @@
-"""Differential check of ``collatz.survey`` between this tree and a git revision.
+"""Differential check of ``collatz.survey``, or of every CLI subcommand,
+between this tree and a git revision.
 
-    python3 tools/differential.py --against REV [--quick]
+    python3 tools/differential.py --against REV [--quick] [--cli]
 
 REV is exported with ``git archive`` into a temporary directory; nothing
 in the repository changes and no network is used. Each survey case runs
@@ -17,6 +18,17 @@ across 2^62, across and at 2^63 - 1 (the last input int64 holds) and
 wholly past it up to 2^200, dense ranges, chunk edges and caps that fall
 between the R and the L of a shortcut step. ``--quick`` runs a
 seconds-long subset of 32.
+
+``--cli`` checks the command line instead: each case is one argv that
+each tree's child runs through ``cli.main`` in a working directory of
+its own, holding the same input files. Its fingerprint is the sha256 of
+the exit code, stdout, stderr and each ``--out``/``--pbm``/``--center``
+file (or its absence), shown after the exit code. The full set of 118
+cases covers survey and bound across 2^62, 2^63 - 1 and 2^64 in CSV and
+JSON, rule 30 images and center columns in both modes, every ``test``
+statistic, ``digest`` of the empty message and of 1 MiB, ``trace`` and
+``invert`` at 2^200, ``--help``, usage errors (exit 2) and an unwritable
+output (exit 3). ``--quick`` runs a subset of 16.
 """
 
 from __future__ import annotations
@@ -57,6 +69,40 @@ for name, lo, hi, mode, cap in json.load(open(sys.argv[1])):
             h.update(column.tobytes())
         h.update(repr(sorted(result.big_peaks.items())).encode())
     print(json.dumps([name, h.hexdigest()]), flush=True)
+"""
+
+# The CLI counterpart: the cases file and the working directory are its
+# arguments. Both trees' children write the same inputs, and cases name
+# them by relative paths, so even error messages that quote a path agree.
+_CLI_CHILD = r"""
+import contextlib, hashlib, io, json, os, pathlib, random, sys
+import branchtrace
+from branchtrace import cli
+
+print(branchtrace.__file__, flush=True)
+os.chdir(sys.argv[2])
+rng = random.Random("differential-cli")
+bits = "".join(rng.choice("01") for _ in range(20000))
+inputs = {"empty.bin": b"", "mib.bin": rng.randbytes(1 << 20), "ones.txt": b"1" * 1000,
+          "bits.txt": "\n".join(bits[i:i + 64] for i in range(0, len(bits), 64)).encode(),
+          "short.txt": b"0110", "junk.txt": b"01x10"}
+for path, data in inputs.items():
+    pathlib.Path(path).write_bytes(data)
+for name, argv in json.loads(pathlib.Path(sys.argv[1]).read_text()):
+    files = [pathlib.Path(value) for flag, value in zip(argv, argv[1:])
+             if flag in ("--out", "--pbm", "--center")]
+    for path in files:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # recorded: a tree that raises differs from one that exits
+            code = f"{type(exc).__name__}: {exc}"
+    h = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
+    for path in files:
+        h.update(b"\0" + (path.read_bytes() if path.is_file() else b"absent"))
+    print(json.dumps([name, f"{code} {h.hexdigest()}"]), flush=True)
 """
 
 
@@ -150,6 +196,98 @@ def quick_cases() -> list[tuple]:
     return cases
 
 
+def _hailstone(n: int) -> str:
+    """n's branch string to 1, stepped one symbol at a time."""
+    text = []
+    while n > 1:
+        text.append("R" if n & 1 else "L")
+        n = 3 * n + 1 if n & 1 else n >> 1
+    return "".join(text)
+
+
+_ZERO_KEY = "00" * 32
+# The windows the survey and bound cases cross: 2^62, 2^63 - 1 (the last
+# input the kernel's int64 lanes hold) and 2^64.
+_CLI_WINDOWS = (((1 << 62) - 40, (1 << 62) + 40), (_INT64_MAX - 40, _INT64_MAX + 40),
+                ((1 << 64) - 40, (1 << 64) + 40))
+
+
+def _cli_case(*argv) -> tuple[str, list[str]]:
+    argv = [str(arg) for arg in argv]
+    return " ".join(arg if len(arg) <= 40 else f"{arg[:12]}...{arg[-8:]} ({len(arg)} chars)"
+                    for arg in argv) or "(no arguments)", argv
+
+
+def cli_cases() -> list[tuple]:
+    cases = []
+    for i, (lo, hi) in enumerate(_CLI_WINDOWS):
+        for command in ("survey", "bound"):
+            cases += [_cli_case(command, lo, hi), _cli_case(command, lo, hi, "--format", "json"),
+                      _cli_case(command, lo, hi, "--out", f"{command}{i}.csv"),
+                      _cli_case(command, lo, hi, "--format", "json", "--out", f"{command}{i}.json")]
+    cases += [_cli_case("survey", 1, 100000, "--out", "dense.csv"),
+              _cli_case("survey", 27, 5000, "--format", "json", "--out", "dense.json"),
+              _cli_case("bound", 1, 5000, "--format", "json", "--out", "dense.json"),
+              _cli_case("bound", 1, 5000, "--out", "dense.csv")]
+    for args in (("--steps", 200), ("--steps", 150, "--mode", "wrap", "--width", 101),
+                 ("--init", "random", "--width", 129, "--seed", 7, "--steps", 300),
+                 ("--init", "random", "--width", 64, "--seed", 3, "--steps", 100,
+                  "--mode", "expand"),
+                 ("--init", "random", "--width", 1001, "--seed", 42, "--steps", 2000)):
+        cases += [_cli_case("rule30", *args, "--pbm", "g.pbm", "--center", "c.txt"),
+                  _cli_case("rule30", *args, "--pbm", "g.pbm"),
+                  _cli_case("rule30", *args, "--center", "c.txt")]
+    for name in ("monobit", "runs", "entropy"):
+        cases += [_cli_case("test", name, "--in", path) for path in ("bits.txt", "ones.txt")]
+    cases += [_cli_case("test", "serial", "--in", "bits.txt", "--k", k) for k in (2, 3, 4)]
+    cases += [_cli_case("test", "monobit", "--in", "bits.txt", "--alpha", alpha)
+              for alpha in (0.2, 0.5, 1e-9)]
+    cases += [_cli_case("test", name, "--in", path) for name in ("monobit", "serial")
+              for path in ("short.txt", "junk.txt", "empty.bin", "no-such-file.txt")]
+    for path in ("empty.bin", "mib.bin"):
+        cases += [_cli_case("digest", "--key", key, "--in", path, *flag)
+                  for key in (_ZERO_KEY, "0123456789abcdef" * 4)
+                  for flag in ((), ("--emit-trace",))]
+    cases += [_cli_case("digest", "--key", key, "--in", "empty.bin") for key in ("zz", "00" * 31)]
+    cases.append(_cli_case("digest", "--key", _ZERO_KEY, "--in", "no-such-file.bin"))
+    for n in (1 << 200, (1 << 200) + 7, (1 << 200) - 1, 27, 1):
+        cases += [_cli_case("trace", n), _cli_case("trace", n, "--format", "text"),
+                  _cli_case("trace", n, "--stop", "repeat", "--max-steps", 500)]
+        cases.append(_cli_case("invert", "--trace", _hailstone(n), "--terminal", 1))
+    cases += [_cli_case("invert", "--trace", "L" * 200, "--terminal", 5),
+              _cli_case("invert", "--trace", "LLRR", "--terminal", 1),
+              _cli_case("invert", "--trace", "LXL", "--terminal", 1),
+              _cli_case("invert", "--trace", "L" * 15000, "--terminal", 1)]
+    cases += [_cli_case(*argv) for argv in (
+        (), ("--help",), ("frobnicate",), ("trace", 0), ("trace", "x"), ("survey", 5, 3),
+        ("survey", 1, 1 << 25), ("bound", 1, 1 << 25), ("rule30", "--steps", 5),
+        ("rule30", "--steps", 5, "--mode", "bogus", "--center", "c.txt"),
+        ("rule30", "--init", "random", "--steps", 5, "--center", "c.txt"),
+        ("test", "monobit", "--in", "bits.txt", "--alpha", 1.5),
+        ("survey", 1, 10, "--out", "no-such-dir/rows.csv"))]
+    cases += [_cli_case(command, "--help") for command in
+              ("trace", "invert", "survey", "rule30", "test", "bound", "digest")]
+    return cases
+
+
+def quick_cli_cases() -> list[tuple]:
+    lo, hi = _CLI_WINDOWS[1]
+    return [_cli_case("survey", lo, hi), _cli_case("bound", lo, hi, "--format", "json"),
+            _cli_case("survey", 1, 3000, "--format", "json", "--out", "s.json"),
+            _cli_case("rule30", "--steps", 150, "--pbm", "g.pbm", "--center", "c.txt"),
+            _cli_case("rule30", "--init", "random", "--width", 129, "--seed", 7, "--steps", 300,
+                      "--pbm", "g.pbm", "--center", "c.txt"),
+            _cli_case("test", "serial", "--in", "bits.txt", "--k", 3),
+            _cli_case("test", "monobit", "--in", "ones.txt"),
+            _cli_case("test", "entropy", "--in", "bits.txt"),
+            _cli_case("digest", "--key", _ZERO_KEY, "--in", "empty.bin", "--emit-trace"),
+            _cli_case("trace", (1 << 200) + 7),
+            _cli_case("invert", "--trace", _hailstone((1 << 200) + 7), "--terminal", 1),
+            _cli_case("invert", "--trace", "LLRR", "--terminal", 1),
+            _cli_case("trace", 0), _cli_case("--help"), _cli_case("rule30", "--steps", 5),
+            _cli_case("survey", 1, 10, "--out", "no-such-dir/rows.csv")]
+
+
 def _export(rev: str, into: pathlib.Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                              capture_output=True, check=True).stdout
@@ -157,9 +295,9 @@ def _export(rev: str, into: pathlib.Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def _start(tree: pathlib.Path, cases: pathlib.Path, out: pathlib.Path) -> subprocess.Popen:
+def _start(tree: pathlib.Path, child: list[str], out: pathlib.Path) -> subprocess.Popen:
     with out.open("w") as handle:
-        return subprocess.Popen([sys.executable, "-c", _CHILD, str(cases)], cwd=tree,
+        return subprocess.Popen([sys.executable, "-c", *child], cwd=tree,
                                 stdout=handle, env={**os.environ, "PYTHONPATH": str(tree / "src")})
 
 
@@ -167,7 +305,7 @@ def _fingerprints(child: subprocess.Popen, tree: pathlib.Path, out: pathlib.Path
     code = child.wait()
     where, *lines = out.read_text().splitlines() or [""]
     if code or not pathlib.Path(where).resolve().is_relative_to(tree.resolve()):
-        raise RuntimeError(f"the survey child for {tree} failed (package at {where!r})")
+        raise RuntimeError(f"the child for {tree} failed (package at {where!r})")
     return dict(json.loads(line) for line in lines)
 
 
@@ -176,8 +314,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", required=True, metavar="REV",
                         help="git revision to compare this tree with")
     parser.add_argument("--quick", action="store_true", help="run the short case set")
+    parser.add_argument("--cli", action="store_true", help="check the CLI, not the survey")
     args = parser.parse_args(argv)
-    cases = quick_cases() if args.quick else full_cases()
+    if args.cli:
+        cases = quick_cli_cases() if args.quick else cli_cases()
+    else:
+        cases = quick_cases() if args.quick else full_cases()
+    if len({name for name, *_ in cases}) != len(cases):
+        raise AssertionError("two cases share a name")
     with tempfile.TemporaryDirectory() as scratch:
         other = pathlib.Path(scratch, "tree")
         try:
@@ -187,10 +331,15 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         listing = pathlib.Path(scratch, "cases.json")
         listing.write_text(json.dumps(cases))
-        # The two trees run side by side, one child each.
-        trees = (other, ROOT)
-        outs = [pathlib.Path(scratch, f"{side}.out") for side in ("theirs", "ours")]
-        children = [_start(tree, listing, out) for tree, out in zip(trees, outs)]
+        # The two trees run side by side, one child each, each child in a
+        # working directory of its own, which only the CLI child uses.
+        trees, outs, children = (other, ROOT), [], []
+        script = _CLI_CHILD if args.cli else _CHILD
+        for tree, side in zip(trees, ("theirs", "ours")):
+            work = pathlib.Path(scratch, f"{side}-work")
+            work.mkdir()
+            outs.append(pathlib.Path(scratch, f"{side}.out"))
+            children.append(_start(tree, [script, str(listing), str(work)], outs[-1]))
         try:
             theirs, ours = map(_fingerprints, children, trees, outs)
         except RuntimeError as err:
