@@ -19,8 +19,6 @@ Each package-level name loads its module on first use (PEP 562), so
 ``import branchtrace`` alone imports no submodule and no numpy.
 """
 
-import importlib
-
 __version__ = "1.0.0"
 
 # Each public name, under the module that defines it; a module listed
@@ -45,7 +43,8 @@ __all__ = sorted(_HOME)
 def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    # The import statement's own path, so that -X importtime times it.
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=["*"])
     globals()[name] = module if name == _HOME[name] else getattr(module, name)
     return globals()[name]  # kept, so later lookups skip this function
 

@@ -55,6 +55,8 @@ class SurveyResult:
         return self.hi - self.lo + 1
 
     def peak_of(self, offset: int) -> int:
+        # A numpy integer offset, as np.nonzero gives, counts as its int.
+        offset = int(offset) if isinstance(offset, np.integer) else offset
         require_int(offset, "offset", 0)
         if offset >= len(self):
             raise DomainError(f"offset {offset} outside a survey of {len(self)} rows")
@@ -62,6 +64,7 @@ class SurveyResult:
 
     def record(self, offset: int) -> TraceSummary:
         peak = self.peak_of(offset)  # refuses an offset outside the range
+        offset = int(offset)
         return TraceSummary(
             n=self.lo + offset,
             steps=int(self.steps[offset]),

@@ -103,10 +103,8 @@ class BoundReport:
 def bound_report(lo: int, hi: int,
                  max_steps: int = collatz.DEFAULT_MAX_STEPS) -> BoundReport:
     """Tabulate b(n), r(n), and halving counts for every n in [lo, hi]."""
-    require_int(lo, "lo", 1)
-    require_int(hi, "hi", lo)
-    # collatz.survey raises ResourceError for more than RANGE_CAP inputs,
-    # before it allocates anything.
+    # collatz.survey checks lo and hi, and raises ResourceError for more
+    # than RANGE_CAP inputs, before it allocates anything.
     result = collatz.survey(lo, hi, collatz.StopRule.at_one(max_steps))
     reached = result.stop_codes == 0
     capped = tuple(int(i) + lo for i in np.nonzero(~reached)[0])

@@ -29,15 +29,7 @@ import sys
 from typing import Callable, Iterator
 
 from . import collatz, dyncompose
-from .errors import BranchTraceError, InconsistentTrace
-
-
-class _CliError(Exception):
-    """Carries the exit code the failure maps to."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+from .errors import BranchTraceError, DomainError, InconsistentTrace
 
 
 def _natural(text: str) -> int:
@@ -72,7 +64,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="ascii") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise _CliError(2, f"cannot read {path}: {err}")
+        raise DomainError(f"cannot read {path}: {err}")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -80,7 +72,7 @@ def _read_bytes(path: str) -> bytes:
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as err:
-        raise _CliError(2, f"cannot read {path}: {err}")
+        raise DomainError(f"cannot read {path}: {err}")
 
 
 @contextlib.contextmanager
@@ -106,8 +98,8 @@ def _decimal(value: int) -> str:
     try:
         return str(value)
     except ValueError:
-        raise _CliError(2, f"a {value.bit_length()}-bit result exceeds Python's "
-                           f"{sys.get_int_max_str_digits()}-digit int-to-text limit") from None
+        raise DomainError(f"a {value.bit_length()}-bit result exceeds Python's "
+                          f"{sys.get_int_max_str_digits()}-digit int-to-text limit") from None
 
 
 # ---------------------------------------------------------------- trace
@@ -147,13 +139,6 @@ _BLOCK = 1 << 12
 
 
 @functools.cache
-def _reasons() -> np.ndarray:
-    """Each stop reason's text, indexed by its stop code."""
-    import numpy as np
-    return np.array([reason.value for reason in collatz._REASON_CODES], dtype="S")
-
-
-@functools.cache
 def _quads() -> np.ndarray:
     """The digits of 0-9999 as uint32s of four ASCII bytes: as the lead of a
     number (leading zeros as zero bytes, 0 as none) and, from 10^4 on, whole."""
@@ -172,7 +157,9 @@ def _field(column) -> np.ndarray:
         column = np.arange(column.start, column.stop, dtype=np.int64)
     kind = getattr(column, "dtype", None)
     if kind != np.int64:
-        text = _reasons()[column] if kind == np.uint8 else np.array([str(v) for v in column], "S")
+        # A stop code indexes its stop reason's text.
+        text = (np.array([reason.value for reason in collatz._REASON_CODES], "S")[column]
+                if kind == np.uint8 else np.array([str(v) for v in column], "S"))
         return text.view(np.uint8).reshape(len(text), text.itemsize)
     v = column.view(np.uint64)
     quads = np.empty((len(str(int(v.max()))) + 3 >> 2, v.size), dtype=np.uint32)
@@ -251,11 +238,11 @@ def _initial_row(args, mode: rule30.BoundaryMode) -> rule30.Row:
     if args.init == "single":
         if args.width is None:
             if args.mode == "wrap":
-                raise _CliError(2, "--init single with --mode wrap requires --width")
+                raise DomainError("--init single with --mode wrap requires --width")
             return rule30.Row.single()
         return rule30.Row.single(args.width)
     if args.width is None:
-        raise _CliError(2, "--init random requires --width")
+        raise DomainError("--init random requires --width")
     # Sizes are refused first: a random row takes time linear in its width.
     rule30._check_caps(args.width, args.steps, mode, grid=args.pbm is not None)
     return rule30.random_row(args.width, args.seed)
@@ -292,7 +279,7 @@ def _cmd_rule30(args) -> int:
 
     from . import rule30
     if args.pbm is None and args.center is None:
-        raise _CliError(2, "nothing to do: pass --pbm and/or --center")
+        raise DomainError("nothing to do: pass --pbm and/or --center")
     if args.mode is None:
         args.mode = "expand" if args.init == "single" else "wrap"
     mode = rule30.BoundaryMode(args.mode)
@@ -331,9 +318,9 @@ def _cmd_test(args) -> int:
     from . import randstat
     stream = "".join(_read_text(args.infile).split())
     if not stream:
-        raise _CliError(2, f"{args.infile} holds no bits")
+        raise DomainError(f"{args.infile} holds no bits")
     if set(stream) - {"0", "1"}:
-        raise _CliError(2, f"{args.infile} must hold only 0/1 characters")
+        raise DomainError(f"{args.infile} must hold only 0/1 characters")
     if args.test == "entropy":
         _emit_json({"test": "entropy", "statistic": randstat.shannon_entropy(stream)})
         return 0
@@ -385,9 +372,9 @@ def _cmd_digest(args) -> int:
     try:
         key = bytes.fromhex(args.key)
     except ValueError:
-        raise _CliError(2, "key must be 64 hexadecimal characters")
+        raise DomainError("key must be 64 hexadecimal characters")
     if len(key) != dyncompose.KEY_LEN:
-        raise _CliError(2, f"key must be 64 hex characters, got {len(args.key)}")
+        raise DomainError(f"key must be 64 hex characters, got {len(args.key)}")
     message = _read_bytes(args.infile)
     value, trace = dyncompose.digest(key, message)
     out = value.hex() + "\n"
@@ -485,9 +472,6 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
         sys.stdout.flush()  # a failed write to stdout is an output failure too
         return code
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except InconsistentTrace as err:
         print(f"error: inconsistent trace: {err}", file=sys.stderr)
         return 2

@@ -49,12 +49,10 @@ class CompositionState:
 
 def init(key: bytes) -> CompositionState:
     """State from a 32-byte key: w0..w3 little-endian, empty trace."""
-    if not isinstance(key, (bytes, bytearray)):
-        raise KeyLengthError(f"key must be bytes, got {type(key).__name__}")
+    key = _bytes(key, "key", KeyLengthError)
     if len(key) != KEY_LEN:
         raise KeyLengthError(f"key must be exactly {KEY_LEN} bytes, got {len(key)}")
-    words = [int.from_bytes(key[i : i + 8], "little") for i in range(0, 32, 8)]
-    return CompositionState(*words)
+    return CompositionState(*_WORDS.unpack(key))
 
 
 def _drive(words, blocks, forced=None):
@@ -97,10 +95,11 @@ def _drive(words, blocks, forced=None):
     return (w0, w1, w2, w3), schedule.decode("ascii")
 
 
-def _bytes(data, name: str) -> bytes:
-    """``data`` as bytes; anything but bytes, a bytearray or a memoryview is refused."""
+def _bytes(data, name: str, error: type[DomainError] = DomainError) -> bytes:
+    """``data`` as bytes; anything but bytes, a bytearray or a memoryview is
+    refused with ``error``."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise DomainError(f"{name} must be bytes, got {type(data).__name__}")
+        raise error(f"{name} must be bytes, got {type(data).__name__}")
     return bytes(data)
 
 

@@ -59,14 +59,10 @@ def _report(name: str, statistic: float, p_value: float, alpha: float,
 def _as_bits(stream: BitStream) -> np.ndarray:
     """Normalize a stream ('0'/'1' string, 0/1 ints, bools) to uint8."""
     if isinstance(stream, str):
-        try:
-            raw = np.frombuffer(stream.encode("ascii"), dtype=np.uint8)
-        except UnicodeEncodeError as exc:
-            raise DomainError("bit string holds non-ASCII characters") from exc
-        bad = (raw != ord("0")) & (raw != ord("1"))
-        if bad.any():
-            raise DomainError("bit string may only hold '0' and '1'")
-        return (raw - ord("0")).astype(np.uint8)
+        # Each character but '0' and '1' becomes a byte other than 0 and 1,
+        # refused below: a non-ASCII one is encoded as '?', and one below
+        # '0' wraps past 1.
+        stream = np.frombuffer(stream.encode("ascii", "replace"), np.uint8) - ord("0")
     arr = np.asarray(stream)
     if arr.ndim != 1:
         raise DomainError("bit stream must be one-dimensional")

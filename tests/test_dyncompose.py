@@ -35,7 +35,8 @@ def test_init_is_deterministic():
     assert dc.init(key).words() == dc.init(key).words()
 
 
-@pytest.mark.parametrize("bad", [b"", bytes(31), bytes(33), "0" * 32])
+@pytest.mark.parametrize("bad", [b"", bytes(31), bytes(33), "0" * 32, list(range(32)),
+                                 memoryview(bytes(31))], ids=repr)
 def test_init_rejects_bad_keys(bad):
     with pytest.raises(KeyLengthError):
         dc.init(bad)
@@ -172,9 +173,12 @@ def test_messages_and_blocks_must_be_bytes():
     message = bytes(range(40))
     for kind in (bytearray, memoryview):
         assert dc.digest(key, kind(message)) == dc.digest(key, message)
+        assert dc.digest(kind(message[:32]), message) == dc.digest(message[:32], message)
         block = kind(message[:32])
         assert dc.absorb(dc.init(key), block).words() == \
             dc.absorb(dc.init(key), message[:32]).words()
+    # A memoryview's length is its byte count, not its item count.
+    assert dc.init(memoryview(message[:32]).cast("Q")).words() == dc.init(message[:32]).words()
 
 
 def test_replay_with_wrong_schedule_diverges():

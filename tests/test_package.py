@@ -81,6 +81,17 @@ def test_survey_resolves_at_its_collatz_path():
         collatz._CHUNK  # noqa: B018
 
 
+def test_importtime_reports_the_modules_names_load():
+    # cli's `from . import collatz, dyncompose` loads both through the
+    # package's __getattr__, on the import path that -X importtime times.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "branchtrace", "trace", "27"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    timed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {"branchtrace.cli", "branchtrace.collatz", "branchtrace.dyncompose"} <= timed
+
+
 # Runs `python -m branchtrace ARGS` as -m does, then prints on stderr, as its
 # last line, the modules the command left in sys.modules.
 _PROBE = """

@@ -214,17 +214,24 @@ def test_streams_normalize_identically():
 
 def test_bad_streams_rejected():
     with pytest.raises(DomainError):
-        randstat.monobit("012" * 40)
-    with pytest.raises(DomainError):
-        randstat.monobit([0, 1, 2] * 40)
-    with pytest.raises(DomainError):
         randstat.monobit(np.ones((10, 10), dtype=np.uint8))
     with pytest.raises(DomainError):
-        randstat.monobit("01é" * 40)
-    with pytest.raises(DomainError):
         randstat.monobit(np.zeros(0, dtype=np.uint8))
-    with pytest.raises(DomainError):
-        randstat.monobit(np.ones(120))
+
+
+# Streams holding something other than 0 and 1: a character outside ASCII or
+# below '0' included.
+BAD_BITS = ["0 1", "0/1", "012", "01\x00", "0é1", "01\ud800", [0, 2], [-1, 0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("test", [randstat.monobit, randstat.runs_test,
+                                  lambda stream: randstat.serial_test(stream, 2)],
+                         ids=["monobit", "runs", "serial"])
+@pytest.mark.parametrize("bad", BAD_BITS, ids=repr)
+def test_bad_bits_rejected_by_every_test(test, bad):
+    # Long enough for each test, so the bit check is what refuses it.
+    with pytest.raises(DomainError, match="^bit stream"):
+        test(bad * 400)
 
 
 # -------------------------------------------------------------- avalanche

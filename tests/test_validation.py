@@ -1,9 +1,11 @@
 """Every public integer parameter goes through ``errors.require_int``: a
-bool, a float, a numeric string or a value one below the least allowed
-raises :class:`DomainError` (a ``ValueError``). Seeds take any int. A
+bool, a float, a numeric string, a numpy integer or a value one below the
+least allowed raises :class:`DomainError` (a ``ValueError``). Survey row
+offsets alone take numpy integers, as their int. Seeds take any int. A
 ``mode`` must be a member of its enum, not the member's value; a stop
 rule must be a ``StopRule`` and a rule 30 row a ``Row``."""
 
+import numpy as np
 import pytest
 
 from branchtrace import bounds, collatz, dyncompose, randstat, rule30
@@ -64,6 +66,29 @@ def test_public_integer_parameters_reject_non_ints(call, least, bad):
     with pytest.raises(DomainError):
         call(bad(least))
     call(least)  # the least allowed value is accepted
+
+
+def test_survey_offsets_take_numpy_integers():
+    # The offsets np.nonzero gives, here of a row whose peak tops int64.
+    result = collatz.survey(2**62, 2**62 + 50)
+    offset = np.nonzero(result.peaks == 2**63 - 1)[0][0]
+    assert isinstance(offset, np.integer)
+    assert result.peak_of(offset) == result.big_peaks[int(offset)] > 2**63 - 1
+    assert result.record(offset) == result.record(int(offset))
+    assert type(result.record(np.uint8(3)).n) is int
+    for bad in (np.bool_(True), np.int64(-1), np.int64(len(result))):
+        with pytest.raises(DomainError):
+            result.peak_of(bad)
+        with pytest.raises(DomainError):
+            result.record(bad)
+
+
+@pytest.mark.parametrize("call,least", [pytest.param(call, least, id=name)
+                                        for name, call, least in SITES
+                                        if not name.startswith("collatz.SurveyResult")])
+def test_numpy_integers_are_refused_where_arithmetic_is_exact(call, least):
+    with pytest.raises(DomainError):
+        call(np.int64(least))
 
 
 def test_survey_offsets_past_the_range_are_refused():

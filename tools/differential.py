@@ -23,12 +23,13 @@ seconds-long subset of 32.
 each tree's child runs through ``cli.main`` in a working directory of
 its own, holding the same input files. Its fingerprint is the sha256 of
 the exit code, stdout, stderr and each ``--out``/``--pbm``/``--center``
-file (or its absence), shown after the exit code. The full set of 118
+file (or its absence), shown after the exit code. The full set of 120
 cases covers survey and bound across 2^62, 2^63 - 1 and 2^64 in CSV and
 JSON, rule 30 images and center columns in both modes, every ``test``
 statistic, ``digest`` of the empty message and of 1 MiB, ``trace`` and
-``invert`` at 2^200, ``--help``, usage errors (exit 2) and an unwritable
-output (exit 3). ``--quick`` runs a subset of 16.
+``invert`` at 2^200, ``--help``, usage errors and unreadable or
+non-ASCII input (exit 2) and an unwritable output (exit 3). ``--quick``
+runs a subset of 16.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ rng = random.Random("differential-cli")
 bits = "".join(rng.choice("01") for _ in range(20000))
 inputs = {"empty.bin": b"", "mib.bin": rng.randbytes(1 << 20), "ones.txt": b"1" * 1000,
           "bits.txt": "\n".join(bits[i:i + 64] for i in range(0, len(bits), 64)).encode(),
-          "short.txt": b"0110", "junk.txt": b"01x10"}
+          "short.txt": b"0110", "junk.txt": b"01x10", "latin.txt": "01é10".encode()}
 for path, data in inputs.items():
     pathlib.Path(path).write_bytes(data)
 for name, argv in json.loads(pathlib.Path(sys.argv[1]).read_text()):
@@ -263,7 +264,9 @@ def cli_cases() -> list[tuple]:
         ("survey", 1, 1 << 25), ("bound", 1, 1 << 25), ("rule30", "--steps", 5),
         ("rule30", "--steps", 5, "--mode", "bogus", "--center", "c.txt"),
         ("rule30", "--init", "random", "--steps", 5, "--center", "c.txt"),
+        ("rule30", "--init", "single", "--mode", "wrap", "--steps", 5, "--center", "c.txt"),
         ("test", "monobit", "--in", "bits.txt", "--alpha", 1.5),
+        ("test", "monobit", "--in", "latin.txt"),
         ("survey", 1, 10, "--out", "no-such-dir/rows.csv"))]
     cases += [_cli_case(command, "--help") for command in
               ("trace", "invert", "survey", "rule30", "test", "bound", "digest")]
