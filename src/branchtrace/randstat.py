@@ -57,7 +57,8 @@ def _report(name: str, statistic: float, p_value: float, alpha: float,
 
 
 def _as_bits(stream: BitStream) -> np.ndarray:
-    """Normalize a stream ('0'/'1' string, 0/1 ints, bools) to uint8."""
+    """Normalize a stream ('0'/'1' string, 0/1 ints, bools) to uint8; a
+    uint8 array passes its check and is returned as it is, not copied."""
     if isinstance(stream, str):
         # Each character but '0' and '1' becomes a byte other than 0 and 1,
         # refused below: a non-ASCII one is encoded as '?', and one below
@@ -68,13 +69,12 @@ def _as_bits(stream: BitStream) -> np.ndarray:
         raise DomainError("bit stream must be one-dimensional")
     if arr.size == 0:
         return np.zeros(0, dtype=np.uint8)
-    if arr.dtype == bool:
-        return arr.astype(np.uint8)
-    if arr.dtype.kind not in "iu":
-        raise DomainError(f"bit stream must hold integers, got dtype {arr.dtype}")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise DomainError("bit stream values must be 0 or 1")
-    return arr.astype(np.uint8)
+    if arr.dtype != bool:
+        if arr.dtype.kind not in "iu":
+            raise DomainError(f"bit stream must hold integers, got dtype {arr.dtype}")
+        if not np.all((arr == 0) | (arr == 1)):
+            raise DomainError("bit stream values must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
 
 
 def shannon_entropy(symbols) -> float:
@@ -167,9 +167,8 @@ def serial_test(stream: BitStream, k: int, alpha: float = DEFAULT_ALPHA) -> Test
 def battery(stream: BitStream, alpha: float = DEFAULT_ALPHA) -> tuple[TestReport, ...]:
     """Monobit, runs, and serial tests (each k of SERIAL_BLOCK_SIZES) over
     one stream, in that order."""
-    bits = _as_bits(stream)
-    return (monobit(bits, alpha), runs_test(bits, alpha),
-            *(serial_test(bits, k, alpha) for k in SERIAL_BLOCK_SIZES))
+    return (monobit(stream, alpha), runs_test(stream, alpha),
+            *(serial_test(stream, k, alpha) for k in SERIAL_BLOCK_SIZES))
 
 
 @dataclass(frozen=True)

@@ -629,6 +629,62 @@ def test_digest_missing_input(tmp_path):
     assert proc.returncode == 2
 
 
+# ------------------------------------------------- one refusal path
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "usage" not in proc.stderr
+
+
+# argparse only parses each value as an int; the library refuses it, and
+# main turns that into one error line, with no usage text.
+@pytest.mark.parametrize("args", [
+    ("trace", 0),
+    ("trace", "--max-steps", 0, 5),
+    ("survey", 0, 3),
+    ("bound", 0, 3),
+    ("invert", "--trace", "L", "--terminal", 0),
+    ("rule30", "--init", "random", "--width", 0, "--steps", 3, "--center", "{tmp}/c.txt"),
+], ids=lambda args: " ".join(map(str, args)).replace("{tmp}/", ""))
+def test_values_are_refused_by_the_library_with_one_error_line(tmp_path, args):
+    proc = run(*(str(arg).format(tmp=tmp_path) for arg in args))
+    assert_one_error_line(proc)
+    assert not (tmp_path / "c.txt").exists()
+
+
+def test_digest_refuses_a_short_key_before_reading_the_file(tmp_path):
+    proc = run("digest", "--key", "00" * 31, "--in", tmp_path / "nope.bin")
+    assert_one_error_line(proc)
+    assert proc.stderr == "error: key must be exactly 32 bytes, got 31\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"01x10", "bit stream values must be 0 or 1"),
+    ("01\u00e910".encode(), "bit stream values must be 0 or 1"),
+    (b"", "entropy needs at least one symbol"),
+], ids=["junk", "non-ascii", "empty"])
+def test_test_entropy_refuses_what_is_not_a_bit_stream(tmp_path, data, message):
+    path = tmp_path / "bits.txt"
+    path.write_bytes(data)
+    proc = run("test", "entropy", "--in", path)
+    assert_one_error_line(proc)
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [(), ("--init", "random", "--width", 9, "--seed", 4)],
+                         ids=["single", "random"])
+def test_rule30_zero_steps_writes_generation_zero(tmp_path, args):
+    pbm, center = tmp_path / "g.pbm", tmp_path / "c.txt"
+    proc = run("rule30", *args, "--steps", 0, "--pbm", pbm, "--center", center)
+    assert proc.returncode == 0
+    row = (rule30.random_row(9, 4) if args else rule30.Row.single()).to01()
+    assert pbm.read_text() == f"P1\n{len(row)} 1\n{' '.join(row)}\n"
+    assert center.read_text() == row[len(row) // 2] + "\n"
+
+
 # ------------------------------------------------------------- interface
 
 

@@ -43,6 +43,17 @@ def test_entropy_matches_oracle(text):
     )
 
 
+# 0/1 strings, with all-zero and all-one ones among them.
+bit_or_constant_strings = st.one_of(
+    bitstrings, st.builds(str.__mul__, st.sampled_from("01"), st.integers(1, 400)))
+
+
+@given(bit_or_constant_strings)
+def test_entropy_of_a_bit_string_equals_that_of_its_bits(text):
+    # The CLI scores a bit file through _as_bits; the float is the same.
+    assert randstat.shannon_entropy(text) == randstat.shannon_entropy(randstat._as_bits(text))
+
+
 @given(bitstrings)
 def test_entropy_reversal_and_relabel_invariance(text):
     h = randstat.shannon_entropy(text)
@@ -169,6 +180,29 @@ def test_battery_composition_and_order():
 def test_battery_custom_alpha_is_recorded():
     reports = randstat.battery(XorShift64Star(3).bits(4096), alpha=0.2)
     assert all(r.alpha == 0.2 for r in reports)
+
+
+_BITS = XorShift64Star(5).bits(4096)
+
+
+@pytest.mark.parametrize("stream", ["".join(map(str, _BITS)), _BITS.tolist(), _BITS.astype(bool)],
+                         ids=["str", "list", "bools"])
+def test_battery_of_a_stream_equals_that_of_its_bits(stream):
+    assert randstat.battery(stream) == randstat.battery(randstat._as_bits(stream))
+
+
+def test_as_bits_returns_a_uint8_stream_itself():
+    assert randstat._as_bits(_BITS) is _BITS
+
+
+@pytest.mark.parametrize("bad", ["01x" * 400, [0, 2] * 400, [0.0, 1.0] * 400,
+                                 np.ones((40, 40), dtype=np.uint8), ""], ids=repr)
+def test_battery_refuses_a_bad_stream_as_its_first_test_does(bad):
+    with pytest.raises(DomainError) as first:
+        randstat.monobit(bad)
+    with pytest.raises(DomainError) as refused:
+        randstat.battery(bad)
+    assert str(refused.value) == str(first.value)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0, math.nan], ids=repr)

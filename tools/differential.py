@@ -23,13 +23,14 @@ seconds-long subset of 32.
 each tree's child runs through ``cli.main`` in a working directory of
 its own, holding the same input files. Its fingerprint is the sha256 of
 the exit code, stdout, stderr and each ``--out``/``--pbm``/``--center``
-file (or its absence), shown after the exit code. The full set of 120
-cases covers survey and bound across 2^62, 2^63 - 1 and 2^64 in CSV and
-JSON, rule 30 images and center columns in both modes, every ``test``
+file (or its absence), shown after the exit code; under a case that
+differs, each tree's exit code and last stderr line follow. The full
+set of 128 cases covers survey and bound across 2^62, 2^63 - 1 and
+2^64 in CSV and JSON, rule 30 images and center columns in both modes, every ``test``
 statistic, ``digest`` of the empty message and of 1 MiB, ``trace`` and
-``invert`` at 2^200, ``--help``, usage errors and unreadable or
-non-ASCII input (exit 2) and an unwritable output (exit 3). ``--quick``
-runs a subset of 16.
+``invert`` at 2^200, ``--help``, zero steps, usage errors, values the
+library refuses, and unreadable, non-0/1 or non-ASCII input (exit 2) and
+an unwritable output (exit 3). ``--quick`` runs a subset of 16.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ for name, lo, hi, mode, cap in json.load(open(sys.argv[1])):
 # The CLI counterpart: the cases file and the working directory are its
 # arguments. Both trees' children write the same inputs, and cases name
 # them by relative paths, so even error messages that quote a path agree.
+# Each line also carries the exit code and last stderr line (argparse
+# prints its usage text first and the error last), shown for a case that
+# differs.
 _CLI_CHILD = r"""
 import contextlib, hashlib, io, json, os, pathlib, random, sys
 import branchtrace
@@ -103,7 +107,8 @@ for name, argv in json.loads(pathlib.Path(sys.argv[1]).read_text()):
     h = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
     for path in files:
         h.update(b"\0" + (path.read_bytes() if path.is_file() else b"absent"))
-    print(json.dumps([name, f"{code} {h.hexdigest()}"]), flush=True)
+    last = err.getvalue().rstrip("\n").rpartition("\n")[2]
+    print(json.dumps([name, f"{code} {h.hexdigest()}", f"exit {code}: {last}"]), flush=True)
 """
 
 
@@ -245,12 +250,16 @@ def cli_cases() -> list[tuple]:
               for alpha in (0.2, 0.5, 1e-9)]
     cases += [_cli_case("test", name, "--in", path) for name in ("monobit", "serial")
               for path in ("short.txt", "junk.txt", "empty.bin", "no-such-file.txt")]
+    cases += [_cli_case("test", "entropy", "--in", path)
+              for path in ("junk.txt", "latin.txt", "empty.bin")]
     for path in ("empty.bin", "mib.bin"):
         cases += [_cli_case("digest", "--key", key, "--in", path, *flag)
                   for key in (_ZERO_KEY, "0123456789abcdef" * 4)
                   for flag in ((), ("--emit-trace",))]
     cases += [_cli_case("digest", "--key", key, "--in", "empty.bin") for key in ("zz", "00" * 31)]
-    cases.append(_cli_case("digest", "--key", _ZERO_KEY, "--in", "no-such-file.bin"))
+    # The key is refused before the file is read.
+    cases += [_cli_case("digest", "--key", key, "--in", "no-such-file.bin")
+              for key in (_ZERO_KEY, "00" * 31)]
     for n in (1 << 200, (1 << 200) + 7, (1 << 200) - 1, 27, 1):
         cases += [_cli_case("trace", n), _cli_case("trace", n, "--format", "text"),
                   _cli_case("trace", n, "--stop", "repeat", "--max-steps", 500)]
@@ -267,7 +276,11 @@ def cli_cases() -> list[tuple]:
         ("rule30", "--init", "single", "--mode", "wrap", "--steps", 5, "--center", "c.txt"),
         ("test", "monobit", "--in", "bits.txt", "--alpha", 1.5),
         ("test", "monobit", "--in", "latin.txt"),
-        ("survey", 1, 10, "--out", "no-such-dir/rows.csv"))]
+        ("survey", 1, 10, "--out", "no-such-dir/rows.csv"), ("survey", 0, 3),
+        ("invert", "--trace", "L", "--terminal", 0),
+        ("rule30", "--steps", 0, "--pbm", "g.pbm", "--center", "c.txt"),
+        ("rule30", "--init", "random", "--width", 9, "--seed", "x", "--steps", 3,
+         "--center", "c.txt"))]
     cases += [_cli_case(command, "--help") for command in
               ("trace", "invert", "survey", "rule30", "test", "bound", "digest")]
     return cases
@@ -309,7 +322,8 @@ def _fingerprints(child: subprocess.Popen, tree: pathlib.Path, out: pathlib.Path
     where, *lines = out.read_text().splitlines() or [""]
     if code or not pathlib.Path(where).resolve().is_relative_to(tree.resolve()):
         raise RuntimeError(f"the child for {tree} failed (package at {where!r})")
-    return dict(json.loads(line) for line in lines)
+    # name -> [fingerprint] or, from the CLI child, [fingerprint, exit and stderr]
+    return {name: rest for name, *rest in map(json.loads, lines)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -352,9 +366,14 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     differ = 0
     for name, *_ in cases:
-        same = theirs[name] == ours[name]
+        same = theirs[name][0] == ours[name][0]
         differ += not same
-        print(f"{theirs[name][:16]} {ours[name][:16]} {'same' if same else 'DIFFERS'}  {name}")
+        print(f"{theirs[name][0][:16]} {ours[name][0][:16]} "
+              f"{'same' if same else 'DIFFERS'}  {name}")
+        if not same:
+            for side, (_, *notes) in (("theirs", theirs[name]), ("ours", ours[name])):
+                for note in notes:
+                    print(f"    {side}: {note}")
     print(f"{len(cases)} cases against {args.against}: "
           f"{len(cases) - differ} bit-identical, {differ} differ")
     return 1 if differ else 0
