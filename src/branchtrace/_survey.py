@@ -6,11 +6,14 @@ lockstep that each chunk of rows runs twice. In the first pass a row
 steps until it falls to a row of the range, meets another lane at one
 value, reaches 1 or hits the step cap; its totals then add up along
 these links. In the second, the rows whose linked total tops the cap
-step again from their own inputs, to 1 or to the cap. Lanes leave the
-arrays for exact arithmetic at one walk site: an odd value past the
-int64 step guard walks until back at or below it, and the last few
-lanes walk to 1. Only the ON_REPEAT rows that no AT_ONE row settles,
-n = 1, 2 and rows capped short of 1, are walked one at a time.
+step again from their own inputs, to 1 or to the cap. A lane whose odd
+value is past the int64 step guard parks: it keeps stepping in the same
+rounds as an exact Python int until back at or below the guard. Lanes
+leave the rounds for exact walks at one site: the last few lanes walk
+to 1, parked lanes walk once the cap is near, and a value past the
+walk's block threshold walks down to the guard. Only the ON_REPEAT rows
+that no AT_ONE row settles, n = 1, 2 and rows capped short of 1, are
+walked one at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .collatz import RANGE_CAP, StopMode, StopRule, TraceSummary, _REASON_CODES, _exact, _walk
+from .collatz import RANGE_CAP, StopMode, StopRule, TraceSummary, _K, _REASON_CODES, _exact, _walk
 from .errors import DomainError, ResourceError, require_int, require_member
 
 # The survey kernel's word: the largest value its int64 lanes hold.
@@ -130,8 +133,8 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     s[odd], lc[odd], target[odd] = 3, 2, (pk[odd] >> 2) - low
 
     def lockstep(lane, cur, span, merge):
-        """Step the rows ``lane`` (offsets into the chunk) from the values
-        ``cur`` until each retires: at a value v with v - lo < ``span``,
+        """Step the rows ``lane`` (offsets into the chunk, ascending) from the
+        values ``cur`` until each retires: at a value v with v - lo < ``span``,
         compared unsigned, or at 1, at the cap, or, when ``merge`` is set,
         as a follower of a lane at the same value."""
         top = cur.copy()
@@ -141,19 +144,49 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
         halves = np.zeros(lane.size, dtype=np.int64)
         taken = wide = 0
         checked = lane.size  # live lanes at the last merge round
+        # lane: [lane, exact value, exact peak, odd steps since parking], for
+        # each lane parked past the guard (see the walk site); its slot holds 0.
+        # Lanes stay in row order, since _keep keeps a subsequence, so
+        # np.searchsorted(lane, lanes) finds parked lanes' slots.
+        parked = {}
+        block = (guard + 1) << _K  # from here _walk takes 8-step blocks
+
+        def settle(entries, floor, slots):
+            """Write each [lane, value, peak, odd steps] entry back to its lane's
+            slot in ``slots``, walking it first to ``floor`` or the cap if its
+            value tops ``floor``; a walk updates ``wide``."""
+            nonlocal wide
+            for k, (j, value, peak, odd) in zip(slots, entries):
+                odd += ahead.item(k)
+                if value > floor:
+                    walked, high, halved, value, _ = _walk(value, max_steps - taken - odd, floor)
+                    odd, peak = odd + walked, high if high > peak else peak
+                    halves[k] = halves.item(k) + halved
+                    wide = odd - taken if odd - taken > wide else wide
+                ahead[k] = odd
+                if peak >= _INT64_MAX:
+                    top[k] = _INT64_MAX
+                    big_peaks[base + j] = max(peak, big_peaks.get(base + j, 0))
+                elif peak > top.item(k):
+                    top[k] = peak
+                cur[k] = value if value <= guard else 0
+
         while lane.size:
             # A round takes one or two steps, so a cap can fall between an R and
-            # its L. A round adds at most one step beyond the round count, so
-            # ``ahead - taken`` never grows in a round; ``wide`` is its largest
-            # value after any walk. So no lane is past 2 * taken + wide steps,
-            # and lanes need checking only once that is within two steps of the
-            # cap. One with no step left, or with one left before an R that fits
-            # int64, stops at the cap, with peak 3x + 1 in the second case. An
-            # odd lane past the guard takes its last step on its walk; an even
+            # its L. A round adds at most one step beyond the round count, and a
+            # parked lane takes at most one odd step a round too, so ``ahead -
+            # taken`` (a parked lane's odd steps included) never grows in a
+            # round; ``wide`` is its largest value after any walk. So no lane is
+            # past 2 * taken + wide steps, and lanes need checking only once that
+            # is within two steps of the cap; parked lanes are walked first (see
+            # below). One with no step left, or with one left before an R that
+            # fits int64, stops at the cap, with peak 3x + 1 in the second case.
+            # An odd lane past the guard takes its last step on its walk; an even
             # one takes it in the round. A tail round skips the check, since its
             # walks stop at the cap themselves.
             tail = lane.size <= _TAIL
-            if not tail and 2 * taken + wide + 2 > max_steps:
+            capping = 2 * taken + wide + 2 > max_steps
+            if capping and not tail and not parked:
                 left = max_steps - taken - ahead
                 done = (left == 0) | (left == 1) & (cur & 1 == 1) & (cur <= guard)
                 if done.any():
@@ -163,38 +196,48 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
                     lane, span, cur, top, halves, ahead = _keep(
                         ~done, lane, span, cur, top, halves, ahead)
                     continue
-            # Lanes are walked exactly at this one site, each from its value, or
-            # from its row's input when at 2^63 - 1 (an input past int64 reads
-            # 2^63 - 1, see survey; no round gives 2^62 or more). With at most
-            # _TAIL lanes left (the tail), every lane walks with floor 1, to 1 or
-            # to the cap, and the rows are written. Otherwise an odd value past
-            # the guard would overflow int64 at its next step, so its lane walks
-            # with the guard as floor (an excursion); even values halve in int64.
-            # That odd step tops int64, so the row is big: a walk whose peak
-            # reaches 2^63 - 1 keeps it in ``big_peaks`` and clips its lane's
-            # peak to 2^63 - 1. No other row holds 2^63 - 1: the guard is even,
-            # so a lockstep odd step gives at most 2^63 - 4, and 2^63 - 1 is odd,
-            # so its next step leaves int64. A walk capped past the guard leaves its
-            # lane at 0, a value no round reaches: the cap check next retires it,
-            # or its tail row reads code 2, and the value is not used again.
-            floor = 1 if tail else guard
-            if tail or int(cur.max()) > floor and (
-                    hot := np.nonzero((cur > floor) & (cur & 1 == 1))[0]).size:
-                for k in range(lane.size) if tail else hot.tolist():
-                    row, start = base + int(lane[k]), int(cur[k])
-                    walked, peak, halved, end, _ = _walk(start if start < _INT64_MAX else lo + row,
-                                                         max_steps - taken - int(ahead[k]), floor)
-                    ahead[k], halves[k] = ahead[k] + walked, halves[k] + halved
-                    top[k] = _INT64_MAX if peak >= _INT64_MAX else max(peak, int(top[k]))
-                    if peak >= _INT64_MAX:
-                        big_peaks[row] = max(peak, big_peaks.get(row, 0))
-                    cur[k] = end if end <= guard else 0
-                wide = max(wide, int(ahead.max()) - taken)
+            # An odd value past the guard would overflow int64 at its next step.
+            # Its lane parks: the slot holds 0, a value no round reaches (T(0) =
+            # 0, below every descent target, never 1, and in no merge group), and
+            # the exact value takes each round's shortcut step as a Python int,
+            # from the lane's value, or from its row's input at 2^63 - 1 (an
+            # input past int64 reads 2^63 - 1, see survey; no round gives 2^62 or
+            # more), until it is back at or below the guard and rejoins its slot.
+            # Lanes are walked exactly at one site, settle, in three cases. With
+            # at most _TAIL lanes left (the tail), every lane walks with floor 1,
+            # to 1 or to the cap, and the rows are written. Once the cap is near,
+            # parked lanes and lanes due to park walk with the guard as floor,
+            # so that the cap check sees every lane. A value at or past
+            # ``block`` walks to the guard, since 8-step blocks take it down
+            # faster than rounds do. An odd step past the guard tops int64, so
+            # the row is big: a peak reaching 2^63 - 1 is kept in ``big_peaks``
+            # and clipped to 2^63 - 1 in ``top``. No other row holds 2^63 - 1:
+            # the guard is even, so a lockstep odd step gives at most 2^63 - 4,
+            # and 2^63 - 1 is odd, so its next step leaves int64. A walk capped
+            # past the guard leaves its lane at 0 too: the cap check next
+            # retires it, or its tail row reads code 2.
+            if tail or capping and parked or int(cur.max()) > guard:
+                floor, walks, slots = 1 if tail else guard, [], []
+                hot = np.nonzero((cur > floor) & (tail | (cur & 1 == 1)))[0]
+                for k, j, value in zip(hot.tolist(), lane[hot].tolist(), cur[hot].tolist()):
+                    value = value if value < _INT64_MAX else lo + base + j
+                    if tail or capping or value >= block:
+                        walks.append((j, value, value, 0))
+                        slots.append(k)
+                    else:
+                        parked[j] = [j, value, value, 0]
+                cur[hot] = 0
+                if parked and (tail or capping):
+                    walks += parked.values()
+                    slots += lane.searchsorted(list(parked)).tolist()
+                    parked = {}
+                settle(walks, floor, slots)
                 if tail:
                     s[lane], lc[lane], pk[lane], cd[lane] = (
                         taken + ahead, taken + halves, top, 2 * (cur != 1))
                     break
-                continue
+                if walks:
+                    continue
             # One shortcut step, T(x) = x/2 or (3x + 1)/2 (Terras, 1976); the
             # peak candidate new << odd is 3x + 1 for an odd x, at most x else.
             odd = cur & 1
@@ -202,6 +245,22 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             np.maximum(top, cur << odd, out=top)
             ahead += odd
             taken += 1
+            if parked:
+                home = []  # parked lanes back at or below the guard, or at ``block``
+                for entry in parked.values():
+                    value = entry[1]
+                    if value & 1:
+                        value = 3 * value + 1
+                        if value > entry[2]:
+                            entry[2] = value
+                        entry[3] += 1
+                    entry[1] = value = value >> 1
+                    if not guard < value < block:
+                        home.append(entry)
+                if home:
+                    for entry in home:
+                        del parked[entry[0]]
+                    settle(home, guard, lane.searchsorted([entry[0] for entry in home]).tolist())
             # Only a halving brings a value below the start, so the check follows
             # the round. An R from below lo into the range is passed over; a
             # later value is as exact a target.
@@ -225,14 +284,15 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             # their own peak: that is no less than the leader's peak so far, so the
             # max of it and the leader's total is exact. A lane in an earlier
             # ranking block than its leader steps on, so no target is in a later
-            # block than its row.
+            # block than its row. A lane at 0 (parked, its top not yet final) is
+            # a group of its own.
             if 8 * (checked - lane.size) < lane.size:
-                big = np.nonzero(top == _INT64_MAX)[0]
+                big = np.nonzero((top == _INT64_MAX) & (cur != 0))[0]
                 exact = [big_peaks[base + row] for row in lane[big].tolist()]
                 rank = np.zeros(lane.size, dtype=np.int64)
                 rank[big[sorted(range(big.size), key=exact.__getitem__)]] = np.arange(big.size)
                 order = np.lexsort((rank, top, cur))
-                head = np.r_[True, np.diff(cur[order]) != 0]
+                head = np.r_[True, np.diff(cur[order]) != 0] | (cur[order] == 0)
                 # The followers, and the leader (first in order) of each one's group.
                 f, k = order[~head], order[np.nonzero(head)[0][np.cumsum(head) - 1]][~head]
                 follow = lane[f] // _RANK >= lane[k] // _RANK
@@ -283,7 +343,7 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     # no merges. Its stop code is reset first, since a follower of a capped
     # leader can still reach 1 within the cap, and so is the big_peaks entry
     # of a row reading 2^63 - 1: it holds the chain's largest peak, which can
-    # top the capped prefix's, and the walk site keeps the max.
+    # top the capped prefix's, and settle keeps the max.
     redo = np.nonzero((target >= 0) & ((cd != 0) | (s > max_steps)))[0]
     for row in (base + redo[pk[redo] == _INT64_MAX]).tolist():
         del big_peaks[row]

@@ -661,14 +661,20 @@ def spy_merges(monkeypatch):
 
 
 def test_survey_followers_carry_their_own_excursion_steps(monkeypatch):
-    # Below 2^62 lanes leave the lockstep on excursions of different
-    # lengths and meet again later at one value: 2^62 - 9 meets
-    # 2^62 - 129 with 49 steps more.
+    # A parked lane steps once a round like every other, so lanes from
+    # nearby inputs that meet at one large value in one round have taken the
+    # same steps. A lane whose value reaches the block threshold 2^8 (guard + 1)
+    # instead walks, taking its excursion's steps at once, and then meets
+    # lanes with a different step count. With the word lowered, placeholder
+    # inputs past it park, and some of their excursions reach the threshold,
+    # in a range of 1,000 rows (at the real word that takes inputs past
+    # 2^69); each follower keeps its own steps.
+    guard = 2_000
+    monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
     merges = spy_merges(monkeypatch)
-    lo = (1 << 62) - 300
-    result = collatz.survey(lo, lo + 299)
+    result = collatz.survey(200_001, 201_000)
     assert_rows_exact(result, range(len(result)))
-    assert_big_placeholders(result)
+    assert_big_placeholders(result, 3 * guard + 1)
     assert any(delta != 0 for _, _, delta, _ in merges)
 
 
@@ -705,16 +711,18 @@ def test_survey_followers_of_capped_leaders(monkeypatch, cap):
 def test_survey_followers_short_of_capped_leaders(monkeypatch, cap):
     # In an all-big group the leader, of least exact peak, can have spent
     # more steps on excursions than a follower, whose chained total then
-    # falls short of the cap; the leader's stop code sends it to the exact
-    # stepper. Also with ranking blocks of 512 rows, where a lane in an
-    # earlier block than its leader steps on.
-    guard = 2_000_000
+    # falls short of the cap; the leader's stop code sends the follower to
+    # the redo pass. Step counts part after a walk from the block threshold
+    # (see above), so the range holds placeholder inputs past the lowered
+    # word. Also with ranking blocks of 512 rows, where a lane in an earlier
+    # block than its leader steps on.
+    guard = 20_000
     monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
     merges = spy_merges(monkeypatch)
     for rank in (512, _survey._RANK):
         monkeypatch.setattr(_survey, "_RANK", rank)
         merges.clear()
-        result = collatz.survey(4_000_000, 4_000_999, collatz.StopRule.at_one(cap))
+        result = collatz.survey(100_000, 101_499, collatz.StopRule.at_one(cap))
         assert_rows_exact(result, range(len(result)))
         assert any(delta < 0 and result.stop_codes[k] == 2 for _, k, delta, _ in merges)
         assert all(f // rank >= k // rank for f, k, _, _ in merges)
@@ -763,7 +771,7 @@ def pre_retired(n, lo, cap):
 def spy_tail_starts(monkeypatch):
     """Record the start value of every lane the lockstep walks in its tail:
     the lockstep's one ``_walk`` site, called with floor 1 as its third
-    positional argument (an excursion passes the guard there)."""
+    positional argument (every other walk passes the guard there)."""
     starts, walk = [], _survey._walk
 
     def spy(*args, **kwargs):
@@ -822,7 +830,7 @@ def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
     # dense range such as [1, 10^6] at least an eighth of the live lanes
     # retire in each 32 rounds, so it never merges lanes. Windows retire few
     # lanes and merge at their own pace: over the benchmark's exact_wide
-    # windows at seed 1, 47 of the rounds merge.
+    # windows at seed 1, 39 of the rounds merge.
     rounds = []
     keep = _survey._keep
 
@@ -837,7 +845,7 @@ def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
     for lo in (2000264931193, 13652651775475, 90369518052770, 698049293593410,
                6919942724769661, 48847406005547136, 328055372778564155, 2593422061856511112):
         collatz.survey(lo, lo + 4095)
-    assert len(rounds) == 47
+    assert len(rounds) == 39
 
 
 # ------------------------------------------------ one shortcut step a round
@@ -895,6 +903,111 @@ def test_survey_shortcut_rounds_at_chunk_edges(monkeypatch, chunk, lo, hi):
         result = collatz.survey(lo, hi, collatz.StopRule.at_one(*([cap] if cap else [])))
         assert_rows_exact(result, range(len(result)))
         assert_big_placeholders(result)
+
+
+# ------------------------------------------------ lanes parked past the guard
+
+# A lowered word: odd values past its guard (2,000) park, and the walk's
+# block threshold 2^8 (guard + 1) is 512,256.
+PARK_GUARD = 2_000
+PARK_WORD = 3 * PARK_GUARD + 1
+
+
+def spy_walks(monkeypatch):
+    """Record (start, budget, floor) of every ``_walk`` call of the survey."""
+    calls, walk = [], _survey._walk
+
+    def spy(n, budget, floor):
+        calls.append((n, budget, floor))
+        return walk(n, budget, floor)
+
+    monkeypatch.setattr(_survey, "_walk", spy)
+    return calls
+
+
+def parked_r_caps(n, guard, count):
+    """``count`` step caps spread over the R steps that n's trajectory takes
+    at values past ``guard``, each falling between that R and its L."""
+    cur, cuts = n, []
+    for i, sym in enumerate(collatz.trace(n).trace):
+        if sym == "R" and cur > guard:
+            cuts.append(i + 1)
+        cur = 3 * cur + 1 if sym == "R" else cur >> 1
+    return cuts[::max(1, len(cuts) // count)][:count]
+
+
+@pytest.mark.parametrize("tail", [64, 256])
+@pytest.mark.parametrize("cap", [None, 200])
+def test_survey_tail_begins_while_lanes_are_parked(monkeypatch, tail, cap):
+    # With the tail raised, lanes are still parked when it begins, and each
+    # walks to 1 or the cap from its exact value: a start past the word,
+    # where no int64 lane and no input of the range is, is a parked value.
+    monkeypatch.setattr(_survey, "_INT64_MAX", PARK_WORD)
+    monkeypatch.setattr(_survey, "_TAIL", tail)
+    starts = spy_tail_starts(monkeypatch)
+    result = collatz.survey(1, 3000, collatz.StopRule.at_one(*([cap] if cap else [])))
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result, PARK_WORD)
+    assert any(start > PARK_WORD for start in starts)
+
+
+def test_survey_cap_falls_while_lanes_are_parked(monkeypatch):
+    # Once the cap is within reach, every parked lane walks from its exact
+    # value with the guard as floor and the steps it has left, then the cap
+    # check runs: also for caps that fall between an R taken while parked
+    # and its L.
+    monkeypatch.setattr(_survey, "_INT64_MAX", PARK_WORD)
+    calls = spy_walks(monkeypatch)
+    caps = [1, 2, 3, 40, 100, *parked_r_caps(2_919, PARK_GUARD, 4)]
+    assert len(caps) == 9
+    for cap in caps:
+        calls.clear()
+        result = collatz.survey(1, 3000, collatz.StopRule.at_one(cap))
+        assert_rows_exact(result, range(len(result)))
+        assert_big_placeholders(result, PARK_WORD)
+        if cap >= 40:
+            assert any(floor == PARK_GUARD and n > PARK_WORD for n, _, floor in calls)
+
+
+def test_survey_merges_leave_parked_lanes_alone(monkeypatch):
+    # A parked lane's slot holds 0: it is in no merge group, as follower or
+    # leader, and the big ranking skips it, since its peak is not final.
+    monkeypatch.setattr(_survey, "_INT64_MAX", PARK_WORD)
+    groups, keep = [], _survey._keep
+
+    def spy(index, lane, span, cur, top, halves, ahead):
+        if index.dtype != bool:  # a merge keeps its leaders by index
+            kept = set(index.tolist())
+            zero = np.nonzero(cur == 0)[0].tolist()
+            groups.append((len(zero), all(i in kept for i in zero),
+                           all(cur[i] != 0 for i in range(lane.size) if i not in kept)))
+        return keep(index, lane, span, cur, top, halves, ahead)
+
+    monkeypatch.setattr(_survey, "_keep", spy)
+    for lo, hi, cap in [(200_001, 201_000, None), (100_000, 101_499, 120), (4_001, 6_000, None)]:
+        result = collatz.survey(lo, hi, collatz.StopRule.at_one(*([cap] if cap else [])))
+        assert_rows_exact(result, range(len(result)))
+        assert_big_placeholders(result, PARK_WORD)
+    assert any(parked for parked, _, _ in groups)
+    assert all(kept and moved for _, kept, moved in groups)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 3000), (200_001, 201_000), (600_001, 601_000)])
+def test_survey_walks_only_past_the_block_threshold(monkeypatch, lo, hi):
+    # Uncapped, outside the tail, a lane walks only from a value at or past
+    # the block threshold, where 8-step blocks take it down to the guard;
+    # every other excursion parks and steps in the rounds. [600,001,
+    # 601,000] starts past the threshold, so every lane walks first.
+    monkeypatch.setattr(_survey, "_INT64_MAX", PARK_WORD)
+    monkeypatch.setattr(_survey, "_TAIL", 0)
+    calls = spy_walks(monkeypatch)
+    result = collatz.survey(lo, hi)
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result, PARK_WORD)
+    block = (PARK_GUARD + 1) << 8
+    assert all(n >= block and floor == PARK_GUARD for n, _, floor in calls)
+    assert len(calls) >= (hi - lo + 1 if lo > block else 0)
+    assert len(result.big_peaks) > 500
 
 
 # ------------------------------------------------ a scale model of the kernel

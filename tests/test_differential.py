@@ -1,7 +1,8 @@
 """The differential nets, ``tools/differential.py``, on their short case
 sets against the last commit: a change to the survey kernel, or to the
 bytes or exit code of a CLI subcommand, shows up here as a fingerprint
-that differs from the committed tree's."""
+that differs from the committed tree's. A short run of the scale-model
+sweep checks both trees against the exact walker."""
 
 import pathlib
 import shutil
@@ -23,7 +24,7 @@ def test_quick_cases_match_head():
                            "--quick", "--against", "HEAD"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith("32 cases against HEAD: 32 bit-identical, 0 differ\n")
+    assert proc.stdout.endswith("33 cases against HEAD: 33 bit-identical, 0 differ\n")
 
 
 @needs_git
@@ -33,3 +34,14 @@ def test_quick_cli_cases_match_head():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith("16 cases against HEAD: 16 bit-identical, 0 differ\n")
+
+
+@needs_git
+def test_scale_sweep_passes_on_both_trees():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "differential.py"),
+                           "--scale", "5", "--against", "HEAD"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    theirs, ours = proc.stdout.splitlines()
+    assert theirs.startswith("theirs: ") and ours.startswith("ours: ")
+    assert all(line.endswith(" seeds passed in 5 s, no mismatch") for line in (theirs, ours))

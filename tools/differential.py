@@ -1,7 +1,9 @@
 """Differential check of ``collatz.survey``, or of every CLI subcommand,
-between this tree and a git revision.
+between this tree and a git revision, and a timed sweep of the survey
+kernel's scale model.
 
     python3 tools/differential.py --against REV [--quick] [--cli]
+    python3 tools/differential.py --scale SECONDS [--against REV]
 
 REV is exported with ``git archive`` into a temporary directory; nothing
 in the repository changes and no network is used. Each survey case runs
@@ -12,12 +14,14 @@ in a child interpreter per tree, with ``PYTHONPATH`` set to that tree's
 both fingerprints; the exit status is 1 if any case differs, 2 if a
 tree cannot be exported or run, and 0 if every case is bit-identical.
 
-The full set is 661 cases over the survey kernel's boundaries: the
+The full set is 689 cases over the survey kernel's boundaries: the
 seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, windows
 across 2^62, across and at 2^63 - 1 (the last input int64 holds) and
-wholly past it up to 2^200, dense ranges, chunk edges and caps that fall
-between the R and the L of a shortcut step. ``--quick`` runs a
-seconds-long subset of 32.
+wholly past it up to 2^200, windows whose lanes park past the int64 step
+guard when the cap arrives, windows across the walk's block threshold
+(about 2^69.4), dense ranges, chunk edges and caps that fall between the
+R and the L of a shortcut step. ``--quick`` runs a seconds-long subset
+of 33.
 
 ``--cli`` checks the command line instead: each case is one argv that
 each tree's child runs through ``cli.main`` in a working directory of
@@ -31,6 +35,17 @@ statistic, ``digest`` of the empty message and of 1 MiB, ``trace`` and
 ``invert`` at 2^200, ``--help``, zero steps, usage errors, values the
 library refuses, and unreadable, non-0/1 or non-ASCII input (exit 2) and
 an unwritable output (exit 3). ``--quick`` runs a subset of 16.
+
+``--scale SECONDS`` runs seeded draws of the survey kernel's scale model,
+``scale_model`` in ``tests/test_collatz.py`` (loaded by path, so there is
+one copy of it): a word of 11-25 bits, where excursions, big rows, inputs
+past the word and capped merge leaders occur in ranges of a few thousand
+rows. Each draw's rows are checked against the exact walker and the
+per-symbol oracle, seeds 0, 1, 2, ... until the time runs out. With
+``--against`` the same seeds also run on that revision, side by side.
+Each tree's line gives the seeds that passed and the first failing seed;
+the exit status is 1 if a seed fails or hangs, 2 if a tree cannot be
+exported or run, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -112,6 +127,44 @@ for name, argv in json.loads(pathlib.Path(sys.argv[1]).read_text()):
 """
 
 
+# The --scale counterpart: draws seeded cases from the Tier-1 scale model of
+# the survey kernel (tests/test_collatz.py, loaded by path, so both trees
+# draw the same cases) with the kernel's word shrunk, and checks every row
+# with the tests' own exact checks until its time (the first argument) runs
+# out or a seed fails. Each line is tagged: "at" before each seed, "fails"
+# for a failing one, and "seeds" with the count of seeds that passed.
+_SCALE_CHILD = r"""
+import importlib.util, json, sys, time
+import branchtrace
+from branchtrace import _survey, collatz
+
+print(branchtrace.__file__, flush=True)
+sys.path.insert(0, sys.argv[2])  # the tests' oracles
+spec = importlib.util.spec_from_file_location("scale_tests", sys.argv[2] + "/test_collatz.py")
+tests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tests)
+deadline, seed = time.monotonic() + float(sys.argv[1]), 0
+saved = {name: vars(_survey)[name] for name in tests.scale_model(0)[0]}
+while time.monotonic() < deadline:
+    print(json.dumps(["at", seed]), flush=True)
+    constants, lo, hi, rule = tests.scale_model(seed)
+    vars(_survey).update(constants)
+    try:
+        result = collatz.survey(lo, hi, rule)
+        tests.assert_rows_exact(result, range(len(result)))
+        tests.assert_big_placeholders(result, constants["_INT64_MAX"])
+    except Exception as err:
+        print(json.dumps(["fails", seed, f"{type(err).__name__}: {err}"[:300],
+                          [lo, hi, repr(rule), constants]]), flush=True)
+        break
+    finally:
+        vars(_survey).update(saved)
+    seed += 1
+print(json.dumps(["seeds", seed]), flush=True)
+"""
+_GRACE = 120  # seconds a scale child may run past its time before it counts as hung
+
+
 def _case(lo: int, hi: int, mode: str, cap: int | None) -> tuple[str, int, int, str, int | None]:
     name = f"[{lo}, {hi}] {mode} cap={'default' if cap is None else cap}"
     return name, lo, hi, mode, cap
@@ -176,6 +229,15 @@ def full_cases() -> list[tuple]:
     cases += [_case(lo, hi, "one", cap) for lo, hi in _MULTI_CHUNK for cap in (UNCAPPED, 3, 50)]
     # A window over several ranking blocks, whose lanes meet lanes of other blocks.
     cases += [_case(2**50 + 999, 2**50 + 999 + 3 * 2**13, "one", cap) for cap in (UNCAPPED, 100)]
+    # 4096-input windows whose lanes park past the guard, with caps that fall
+    # while lanes are parked; windows under and over the walk's block
+    # threshold, about 2^69.4, past which values walk instead of parking; and
+    # ON_REPEAT windows that park.
+    parking = [(lo, lo + 4095) for lo in (1 << 61, (1 << 62) + 1, 1 << 64, 1 << 100)]
+    cases += [_case(lo, hi, "one", cap) for lo, hi in parking for cap in (1, 2, 40, 100, 300)]
+    cases += [_case(1 << e, (1 << e) + 4095, "one", cap)
+              for e in (69, 70) for cap in (UNCAPPED, 100)]
+    cases += [_case(lo, hi, "repeat", cap) for lo, hi in parking[::2] for cap in (UNCAPPED, 100)]
     for cap in (5, 10, 20, 40, 60, 80, 100, 110, 111, 112,
                 117, 118, 119, 130, 150, 175, 200, 220, 240, 250):
         cases += _both_modes([(1, 3000)], (cap,))
@@ -199,6 +261,8 @@ def quick_cases() -> list[tuple]:
     # Windows with many big rows, whose exact peaks are combined along the chains.
     cases += [_case(*_exact_wide_windows()[7], "one", UNCAPPED),
               _case(1 << 64, (1 << 64) + 4095, "one", UNCAPPED)]
+    # Lanes parked past the guard when the cap arrives.
+    cases.append(_case(1 << 64, (1 << 64) + 4095, "one", 40))
     return cases
 
 
@@ -326,13 +390,67 @@ def _fingerprints(child: subprocess.Popen, tree: pathlib.Path, out: pathlib.Path
     return {name: rest for name, *rest in map(json.loads, lines)}
 
 
+def _scale(seconds: float, against: str | None) -> int:
+    """Run the scale model's seeds on this tree, and on ``against`` if given,
+    side by side for ``seconds`` each. A seed still running ``_GRACE``
+    seconds after the time is up counts as failing."""
+    with tempfile.TemporaryDirectory() as scratch:
+        trees, sides = [ROOT], ["ours"]
+        if against:
+            trees.insert(0, pathlib.Path(scratch, "tree"))
+            sides.insert(0, "theirs")
+            try:
+                _export(against, trees[0])
+            except (OSError, subprocess.CalledProcessError) as err:
+                print(f"error: cannot export {against}: {err}", file=sys.stderr)
+                return 2
+        outs = [pathlib.Path(scratch, f"{side}.out") for side in sides]
+        children = [_start(tree, [_SCALE_CHILD, str(seconds), str(ROOT / "tests")], out)
+                    for tree, out in zip(trees, outs)]
+        failed = 0
+        for side, child, tree, out in zip(sides, children, trees, outs):
+            try:
+                code = child.wait(timeout=max(0, seconds) + _GRACE)
+            except subprocess.TimeoutExpired:  # a hung seed; the "at" line names it
+                child.kill()
+                child.wait()
+                code = 0
+            where, *lines = out.read_text().splitlines() or [""]
+            if code or not pathlib.Path(where).resolve().is_relative_to(tree.resolve()):
+                for each in children:
+                    each.kill()
+                print(f"error: the child for {tree} failed (package at {where!r})", file=sys.stderr)
+                return 2
+            tags = {tag: rest for tag, *rest in map(json.loads, lines)}
+            if "fails" in tags:
+                seed, error, case = tags["fails"]
+                print(f"{side}: {seed} seeds passed; seed {seed} fails on "
+                      f"[lo, hi, rule, constants] = {case}: {error}")
+            elif "seeds" not in tags:
+                print(f"{side}: seed {tags.get('at', ['?'])[0]} still ran {_GRACE} s after "
+                      "the time was up")
+            else:
+                print(f"{side}: {tags['seeds'][0]} seeds passed in {seconds:g} s, no mismatch")
+                continue
+            failed += 1
+    return 1 if failed else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", required=True, metavar="REV",
+    parser.add_argument("--against", metavar="REV",
                         help="git revision to compare this tree with")
     parser.add_argument("--quick", action="store_true", help="run the short case set")
     parser.add_argument("--cli", action="store_true", help="check the CLI, not the survey")
+    parser.add_argument("--scale", type=float, metavar="SECONDS",
+                        help="run the survey kernel's scale model for SECONDS per tree")
     args = parser.parse_args(argv)
+    if args.scale is not None:
+        if args.quick or args.cli:
+            parser.error("--scale runs the scale model alone; drop --quick and --cli")
+        return _scale(args.scale, args.against)
+    if args.against is None:
+        parser.error("--against is required unless --scale is given")
     if args.cli:
         cases = quick_cli_cases() if args.quick else cli_cases()
     else:
