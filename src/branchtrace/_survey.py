@@ -2,7 +2,14 @@
 batch path of :mod:`branchtrace.collatz`, which loads it on first use.
 
 The batch path steps int64 lanes only while provably safe, in one
-lockstep that each chunk of rows runs twice. In the first pass a row
+lockstep that each chunk of rows runs twice. Before it, a sieve on n
+mod 2^8 fills the rows whose first descent the residue fixes: the low K
+bits of n fix its first K shortcut steps (R. Terras, Acta Arith. 30,
+1976), and verification runs sieve residue classes the same way (T.
+Oliveira e Silva, Math. Comp. 68, 1999). Even n and n = 1 mod 4 come
+from two strided slices, and the 45 of the 64 classes of n = 3 mod 4
+that descend within 8 steps from one gather over the table _DESCENT,
+built from the exact walker's block table. In the first pass a row
 steps until it falls to a row of the range, meets another lane at one
 value, reaches 1 or hits the step cap; its totals then add up along
 these links. In the second, the rows whose linked total tops the cap
@@ -23,7 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .collatz import RANGE_CAP, StopMode, StopRule, TraceSummary, _K, _REASON_CODES, _exact, _walk
+from .collatz import (RANGE_CAP, StopMode, StopRule, TraceSummary, _K, _MASK, _REASON_CODES, _TAB,
+                      _exact, _walk)
 from .errors import DomainError, ResourceError, require_int, require_member
 
 # The survey kernel's word: the largest value its int64 lanes hold.
@@ -33,6 +41,41 @@ _CHUNK = 1 << 16
 _RANK = 1 << 13  # rows per block when the survey ranks descent chains in row order
 _TAIL = 32  # lanes left when the survey lockstep walks each exactly to 1
 _MERGE_EVERY = 32  # rounds between lane merges in the survey lockstep
+
+
+def _descents() -> np.ndarray:
+    """The first descent that n mod 2^K fixes, read off ``_TAB``'s blocks.
+
+    For n = 2^K q + s, a block's first K shortcut steps take the parities
+    of s (Terras, 1976), and each of its values is C q + t, with C and t
+    following the branches from 2^K and s. Columns, one per residue s: the
+    shortcut step i at which T^i(n) < n first, the steps i + a (a of them
+    odd), C and t with T^i(n) = C q + t, A and B with A q + B the peak (the
+    3x + 1 of largest A, which tops the rest once q is large, as for
+    ``_TAB``), and q0, the least q from which all of this holds: each
+    condition is linear in q. A residue whose block never descends reads
+    zeros, so T^i(n) reads 0, below every range.
+    """
+    rows, side = [], 1 << _K
+    for s, (text, *_) in enumerate(_TAB):
+        c, t, i, least, peaks = side, s, 0, 0, [(side, s)]
+        rows.append((0,) * 7)
+        for steps, sym in enumerate(text, 1):
+            c, t, i = (3 * c, 3 * t + 1, i) if sym == "R" else (c >> 1, t >> 1, i + 1)
+            if sym == "R":
+                peaks.append((c, t))
+            elif c > side:  # no descent yet: T^i(n) >= n from q >= (s - t) / (c - 2^K)
+                least = max(least, -((t - s) // (c - side)))
+            else:
+                a, b = max(peaks)
+                least = max(least, (t - s) // (side - c) + 1,
+                            *(-((b - y) // (a - x)) for x, y in peaks if x < a))
+                rows[s] = (i, steps, c, t, a, b, least)
+                break
+    return np.array(rows, dtype=np.int64).T
+
+
+_DESCENT = _descents()
 
 
 @dataclass
@@ -115,14 +158,31 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
     # Offset of each row's descent target or leader; negative for none.
     target = np.full(size, -1, dtype=np.int64)
-    # Rows whose first descent their residue mod 4 fixes never become lanes.
-    # An even n steps to n/2, and an n = 1 mod 4 to 3n + 1, (3n + 1)/2 and
-    # (3n + 1)/4, with no value below n or 1 before these. So the target is
-    # n/2 (1 step, 1 halving, peak n) for even n >= 2 lo, and (3n + 1)/4
-    # (3 steps, 2 halvings, peak 3n + 1) for n = 1 mod 4 with 5 <= n <= the
-    # guard, so that 3n + 1 fits int64, 3n + 1 >= 4 lo (n >= (4 lo + 1) // 3)
-    # and a cap of at least 3. An even n past int64 reads 2^63 - 1 (see survey),
-    # so no range may hold both it and n/2; no range of RANGE_CAP inputs can.
+    # Rows whose first descent their residue fixes never become lanes: the low
+    # K bits of n fix its first K shortcut steps (Terras, 1976), so a table
+    # over n mod 2^K sieves the rows, as verification runs sieve residue
+    # classes mod 2^k (T. Oliveira e Silva, Math. Comp. 68, 1999). Two strided
+    # slices take the classes mod 4 whose descent needs no table. An even n
+    # steps to n/2, and an n = 1 mod 4 to 3n + 1, (3n + 1)/2 and (3n + 1)/4,
+    # with no value below n or 1 before these. So the target is n/2 (1 step,
+    # 1 halving, peak n) for even n >= 2 lo, and (3n + 1)/4 (3 steps, 2
+    # halvings, peak 3n + 1) for n = 1 mod 4 with 5 <= n <= the guard, so
+    # that 3n + 1 fits int64, 3n + 1 >= 4 lo (n >= (4 lo + 1) // 3) and a cap
+    # of at least 3. An even n past int64 reads 2^63 - 1 (see survey), so no
+    # range may hold both it and n/2; no range of RANGE_CAP inputs can.
+    # Then one gather over the rows n = 3 mod 4 reads _DESCENT at n mod 2^8
+    # (45 of its 64 such classes descend within 8 steps) and retires each
+    # row with q >= q0 whose i + a steps fit the cap and whose T^i(n) is at
+    # least lo. It writes what the lockstep's descent check would: i + a
+    # steps, i halvings, peak A q + B and target T^i(n). No round before i
+    # retires the lane, since its values are at least n, merges start at
+    # round _MERGE_EVERY (32) and no value passes the guard, since the peak
+    # fits the word.
+    # The gather runs only where it can pay: at a cap of at least 6, the
+    # fewest steps of such a descent (n = 3 mod 16), and for 243 n >= 256 lo,
+    # since T^i(n) is about C n / 2^8 with C at most 3^5. It also needs
+    # n <= _INT64_MAX // 80, so that A q + B fits the word (A < 16 * 2^8);
+    # the word is read here, so a smaller one (see the tests) cuts it too.
     n = max(2 * lo, first)
     even = slice(n + (n & 1) - first, size, 2)
     n = max(5, first, (4 * lo + 1) // 3)
@@ -131,6 +191,16 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     s[even], lc[even], target[even] = 1, 1, (pk[even] >> 1) - low
     pk[odd] = 3 * pk[odd] + 1
     s[odd], lc[odd], target[odd] = 3, 2, (pk[odd] >> 2) - low
+    n = max(first, -(-256 * lo // 243))
+    sieve = slice(min(size, n + (3 - n) % 4 - first),
+                  max(0, min(size, _INT64_MAX // 80 + 1 - first)) if max_steps >= 6 else 0, 4)
+    at, total, mul, add, rise, shift, least = _DESCENT  # i, i + a, C, t, A, B, q0
+    key, q = pk[sieve] & _MASK, pk[sieve] >> _K
+    value = mul[key] * q + add[key]
+    hit = np.nonzero((q >= np.where(total > max_steps, 1 << 62, least)[key]) & (value >= low))[0]
+    rows, key, q = sieve.start + 4 * hit, key[hit], q[hit]
+    s[rows], lc[rows], pk[rows], target[rows] = (
+        total[key], at[key], rise[key] * q + shift[key], value[hit] - low)
 
     def lockstep(lane, cur, span, merge):
         """Step the rows ``lane`` (offsets into the chunk, ascending) from the

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -340,6 +341,7 @@ def test_trace_length_consistency(n):
 
 def test_survey_small_range_values():
     result = collatz.survey(1, 10)
+    assert_descent_certificates(result)
     assert result.steps.tolist() == [0, 1, 7, 2, 5, 8, 16, 3, 19, 6]
     assert result.max_steps() == 19
     assert result.max_peak() == 52
@@ -385,6 +387,7 @@ def test_survey_peaks_exceeding_int64_are_exact():
 def test_survey_step_cap_rows():
     result = collatz.survey(1, 40, collatz.StopRule.at_one(5))
     assert_rows_exact(result, range(len(result)))
+    assert_descent_certificates(result)
     assert result.non_reached_count() > 0
 
 
@@ -416,6 +419,64 @@ def assert_rows_exact(result, offsets):
         assert got == (want["steps"], want["l_count"], want["peak"], want["stop_reason"]), rec.n
 
 
+def assert_descent_certificates(result):
+    """Every AT_ONE row that reached 1 carries its input in its branch
+    counts, with no oracle. Take l halvings and r odd steps from n: each odd
+    step multiplies by 3 (1 + 1/(3x)) and each halving divides by 2, so 2^l
+    = 3^r n prod(1 + 1/(3x)) over its odd values x. No value repeats before
+    the first 1, so these are distinct odd numbers of at least 3, and
+    0 <= l - r log2 3 - log2 n <= F(r) = sum_{k=1..r} log2(1 + 1/(3(2k + 1))).
+    Checked in float64 with a margin, then exactly for the rows within it:
+    3^r n <= 2^l and 2^l prod(2k + 1) <= n prod(6k + 4)."""
+    if result.rule.mode is not collatz.StopMode.AT_ONE:
+        return
+    rows = np.nonzero(result.stop_codes == 0)[0]
+    if not rows.size:
+        return
+    halves = result.l_count[rows]
+    odd = result.steps[rows] - halves
+    bound = np.r_[0, np.cumsum(np.log2(1 + 1 / (3 * (2 * np.arange(1, odd.max() + 1) + 1))))]
+    gap = halves - odd * np.log2(3) - np.log2(float(result.lo) + rows)
+    margin = 1e-9
+    bad = rows[(odd < 0) | (gap <= -margin) | (gap >= bound[odd.clip(0)] + margin)].tolist()
+    assert not bad, f"inputs {[result.lo + row for row in bad[:5]]} break the certificate"
+    near = (gap < margin) | (gap > bound[odd] - margin)
+    for row, l, r in zip(rows[near].tolist(), halves[near].tolist(), odd[near].tolist()):
+        n = result.lo + row
+        assert 3**r * n <= 1 << l, n
+        assert (1 << l) * math.prod(range(3, 2 * r + 2, 2)) <= (
+            n * math.prod(range(10, 6 * r + 5, 6))), n
+
+
+def test_descent_certificates_are_tight():
+    # D = 0 on powers of two (r = 0) and D = F(r) on 3 * 2^k, whose odd
+    # values are 3 and 5: both ends reach the exact check, and pass. One
+    # step more or fewer in steps or in l_count moves D by log2 3 or
+    # 1 + log2 3, more than F(r) for any r here, so the row breaks the
+    # certificate.
+    result = collatz.survey(1, 3000)
+    assert_descent_certificates(result)
+    for column, delta, offset in itertools.product(("steps", "l_count"), (-1, 1),
+                                                   range(1, 3000, 97)):
+        values = getattr(result, column)
+        values[offset] += delta
+        with pytest.raises(AssertionError, match="break the certificate"):
+            assert_descent_certificates(result)
+        values[offset] -= delta
+
+
+def first_descent(n):
+    """(steps, halvings, value, peak) of n's trajectory up to its first value
+    below n, read off trace()."""
+    cur = peak = n
+    text = collatz.trace(n).trace
+    for steps, sym in enumerate(text, 1):
+        cur = 3 * cur + 1 if sym == "R" else cur >> 1
+        peak = max(peak, cur)
+        if cur < n:
+            return steps, text.count("L", 0, steps), cur, peak
+
+
 def descent(n):
     """First value below n on n's trajectory, and the peak before it."""
     cur = peak = n
@@ -429,6 +490,7 @@ def descent(n):
 def test_survey_descents_below_lo(lo, hi):
     result = collatz.survey(lo, hi)
     assert_rows_exact(result, range(len(result)))
+    assert_descent_certificates(result)
     targets = [descent(n)[0] for n in range(lo, hi + 1)]
     assert any(t < lo for t in targets) and any(t >= lo for t in targets)
 
@@ -442,7 +504,9 @@ def test_survey_chunk_edges_with_earlier_and_same_chunk_targets(monkeypatch):
     offsets = [*range(chunk - 60, chunk + 60), *range(2 * chunk - 60, 2 * chunk + 60)]
     for rank in RANKS:
         monkeypatch.setattr(_survey, "_RANK", rank)
-        assert_rows_exact(collatz.survey(1, 2 * chunk + 60), offsets)
+        result = collatz.survey(1, 2 * chunk + 60)
+        assert_rows_exact(result, offsets)
+        assert_descent_certificates(result)
     same = earlier = 0
     for offset in offsets:
         target = descent(1 + offset)[0] - 1
@@ -461,6 +525,7 @@ def test_survey_cap_at_a_descending_rows_total(monkeypatch, cap):
         monkeypatch.setattr(_survey, "_RANK", rank)
         result = collatz.survey(1, 120, collatz.StopRule.at_one(cap))
         assert_rows_exact(result, range(len(result)))
+        assert_descent_certificates(result)
         for n, total in ((27, 111), (97, 118)):
             assert (result.stop_codes[n - 1] == 0) == (cap >= total)
 
@@ -490,6 +555,7 @@ def test_survey_chains_through_big_peak_and_capped_rows(monkeypatch):
         monkeypatch.setattr(_survey, "_RANK", rank)
         result = collatz.survey(1, 3000, rule)
         assert_rows_exact(result, range(len(result)))
+        assert_descent_certificates(result)
         same_chunk = set()
         for offset in result.big_peaks:
             target, peak = descent(1 + offset)
@@ -742,6 +808,7 @@ def test_survey_tail_handoff_at_chunk_edges(monkeypatch, tail, lo, hi, cap):
     result = collatz.survey(lo, hi, rule)
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result)
+    assert_descent_certificates(result)
     if hi < 2000:
         earlier = [offset for offset in range(256, len(result))
                    if lo <= descent(lo + offset)[0] < lo + offset // 256 * 256]
@@ -757,15 +824,36 @@ def test_survey_on_repeat_over_a_merged_window(monkeypatch, cap):
     assert len(merges) > 100
 
 
-# -------------------------------------------- rows the residue mod 4 retires
+# ------------------------------------------ rows the residue mod 2^8 retires
 
 
 def pre_retired(n, lo, cap):
-    """Whether the survey fills row n from n mod 4 before the lockstep."""
+    """Whether the survey fills row n from its residue before the lockstep:
+    from n mod 4 for even n and n = 1 mod 4, and from the table at n mod 2^8
+    for n = 3 mod 4, whose descending classes all have q0 = 0 (see
+    test_descent_table_rows_match_trace), so that a row n = 3 mod 4 is
+    taken when its first descent has at most 8 halvings and fits the cap
+    and the range, and the sieve's gates hold."""
     if n % 2 == 0:
         return n // 2 >= lo
     guard = (_survey._INT64_MAX - 1) // 3
-    return n % 4 == 1 and 1 < n <= guard and cap >= 3 and 3 * n + 1 >= 4 * lo
+    if n % 4 == 1:
+        return 1 < n <= guard and cap >= 3 and 3 * n + 1 >= 4 * lo
+    steps, halvings, value, _ = first_descent(n)
+    return (243 * n >= 256 * lo and n <= _survey._INT64_MAX // 80 and halvings <= 8
+            and steps <= cap and value >= lo)
+
+
+def stepped_rows(lo, hi, cap):
+    """The rows a survey in 7-row chunks hands to the exact stepper, in
+    order: in each chunk the rows not pre-retired, then the pre-retired rows
+    whose trajectory tops the cap, which step again from their inputs."""
+    want = []
+    for first in range(lo, hi + 1, 7):
+        rows = range(max(first, 2), min(first + 7, hi + 1))
+        want += [n for n in rows if not pre_retired(n, lo, cap)]
+        want += [n for n in rows if pre_retired(n, lo, cap) and collatz.trace(n).steps > cap]
+    return want
 
 
 def spy_tail_starts(monkeypatch):
@@ -784,28 +872,25 @@ def spy_tail_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [7, 256])
-@pytest.mark.parametrize("cap", [1, 2, 3, 4, None])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6, 7, None])
 @pytest.mark.parametrize("lo, hi", [(1, 300), (150, 420), (151, 420), (152, 700), (153, 420)])
 def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi):
-    # 2 lo and the least n with (3n + 1) / 4 >= lo fall inside chunks, at
-    # four positions of a 7-row chunk as lo moves; chunk starts of 7 rows
-    # pass through every residue mod 4. A 7-row chunk hands all its lanes
-    # to the exact stepper before any round, so they are exactly the rows
-    # that were not pre-retired; then its pre-retired rows whose trajectory
-    # tops the cap step again from their inputs, in the tail too.
+    # 2 lo, the least n with (3n + 1) / 4 >= lo and the least n with 243 n
+    # >= 256 lo fall inside chunks, at several positions of a 7-row chunk as
+    # lo moves; chunk starts of 7 rows pass through every residue mod 4, and
+    # caps 5-7 through the sieve's cap gate (its fewest steps are 6). A 7-row
+    # chunk hands all its lanes to the exact stepper before any round, so
+    # they are exactly the rows that were not pre-retired; then its
+    # pre-retired rows whose trajectory tops the cap step again from their
+    # inputs, in the tail too.
     monkeypatch.setattr(_survey, "_CHUNK", chunk)
     starts = spy_tail_starts(monkeypatch)
     rule = collatz.StopRule.at_one(*([cap] if cap else []))
     result = collatz.survey(lo, hi, rule)
     assert_rows_exact(result, range(len(result)))
+    assert_descent_certificates(result)
     if chunk == 7:
-        want = []
-        for first in range(lo, hi + 1, 7):
-            rows = range(max(first, 2), min(first + 7, hi + 1))
-            want += [n for n in rows if not pre_retired(n, lo, rule.max_steps)]
-            want += [n for n in rows if pre_retired(n, lo, rule.max_steps)
-                     and collatz.trace(n).steps > rule.max_steps]
-        assert starts == want
+        assert starts == stepped_rows(lo, hi, rule.max_steps)
 
 
 @pytest.mark.parametrize("guard", [2_000, 2_002])
@@ -819,10 +904,62 @@ def test_survey_guard_cuts_the_pre_retired_rows(monkeypatch, guard, chunk):
     result = collatz.survey(1400, 2600)
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result, 3 * guard + 1)
+    assert_descent_certificates(result)
     if chunk == 7:
-        want = [n for n in range(1400, 2601)
-                if not pre_retired(n, 1400, collatz.DEFAULT_MAX_STEPS)]
-        assert starts == want
+        assert starts == stepped_rows(1400, 2600, collatz.DEFAULT_MAX_STEPS)
+
+
+@pytest.mark.parametrize("word", [None, (1 << 19) - 1])
+def test_descent_table_rows_match_trace(monkeypatch, word):
+    # Each row of the sieve's table against trace() of n = 2^8 q + s at q0,
+    # q0 + 1 and the largest q that the word's cut, word // 80, lets the
+    # sieve take, where the peak must also fit the word; a residue that
+    # reads zeros does not descend within 8 shortcut steps. The shortcut
+    # step i of the first descent is its count of halvings. The word moves
+    # only the cut; 2^19 - 1 is one of the scale model's words.
+    if word:
+        monkeypatch.setattr(_survey, "_INT64_MAX", word)
+    word = _survey._INT64_MAX
+    table = _survey._DESCENT.T.tolist()
+    assert len(table) == 256
+    for s, (first, steps, c, t, a, b, q0) in enumerate(table):
+        top = (word // 80 - s) >> 8
+        if not steps:
+            assert first_descent((1 << 40) + s)[1] > 8, s
+            continue
+        for q in (q0, q0 + 1, *([top] if top >= q0 else [])):
+            assert first_descent((q << 8) + s) == (steps, first, c * q + t, a * q + b), (s, q)
+            assert q > top or a * q + b < word, (s, q)
+    # The sieve's gates: every class n = 3 mod 4 that descends does so from
+    # q = 0, in at least 6 steps, to at most 243 q + t.
+    threes = [row for s, row in enumerate(table) if s % 4 == 3 and row[1]]
+    assert len(threes) == 45 and {row[6] for row in threes} == {0}
+    assert min(row[1] for row in threes) == 6 and max(row[2] for row in threes) == 243
+
+
+@pytest.mark.parametrize("cap", [None, 13, 12])
+def test_survey_word_cuts_the_sieve(monkeypatch, cap):
+    # With the word lowered to 2^19 - 1 the sieve stops at its cut, 6,553,
+    # inside the dense range [6,000, 7,000]: rows n = 3 mod 4 past the cut
+    # whose first descent would qualify step in the lockstep instead. With
+    # 7-row chunks every lane goes to the exact stepper, so the stepped rows
+    # are exactly the rows not pre-retired. Only the classes that descend to
+    # 243 q + t, in 13 steps, stay in this range, so cap 12 sieves no row.
+    word, lo, hi = (1 << 19) - 1, 6_000, 7_000
+    monkeypatch.setattr(_survey, "_INT64_MAX", word)
+    monkeypatch.setattr(_survey, "_CHUNK", 7)
+    starts = spy_tail_starts(monkeypatch)
+    rule = collatz.StopRule.at_one(*([cap] if cap else []))
+    result = collatz.survey(lo, hi, rule)
+    assert_rows_exact(result, range(len(result)))
+    assert_big_placeholders(result, word)
+    assert_descent_certificates(result)
+    assert starts == stepped_rows(lo, hi, rule.max_steps)
+    sieved = [n for n in range(lo, hi + 1) if n % 4 == 3 and pre_retired(n, lo, rule.max_steps)]
+    cut = [n for n in range(word // 80 + 1, hi + 1) if n % 4 == 3
+           and (d := first_descent(n))[1] <= 8 and d[0] <= rule.max_steps and d[2] >= lo]
+    assert bool(sieved) == bool(cut) == (rule.max_steps >= 13)
+    assert all(n <= word // 80 for n in sieved)
 
 
 def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
@@ -840,7 +977,7 @@ def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
         return keep(index, *columns)
 
     monkeypatch.setattr(_survey, "_keep", spy)
-    collatz.survey(1, 10**6)
+    assert_descent_certificates(collatz.survey(1, 10**6))
     assert rounds == []
     for lo in (2000264931193, 13652651775475, 90369518052770, 698049293593410,
                6919942724769661, 48847406005547136, 328055372778564155, 2593422061856511112):
@@ -1046,3 +1183,4 @@ def test_survey_scale_model(monkeypatch, seed):
     result = collatz.survey(lo, hi, rule)
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result, constants["_INT64_MAX"])
+    assert_descent_certificates(result)

@@ -14,14 +14,16 @@ in a child interpreter per tree, with ``PYTHONPATH`` set to that tree's
 both fingerprints; the exit status is 1 if any case differs, 2 if a
 tree cannot be exported or run, and 0 if every case is bit-identical.
 
-The full set is 689 cases over the survey kernel's boundaries: the
+The full set is 713 cases over the survey kernel's boundaries: the
 seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, windows
 across 2^62, across and at 2^63 - 1 (the last input int64 holds) and
 wholly past it up to 2^200, windows whose lanes park past the int64 step
 guard when the cap arrives, windows across the walk's block threshold
-(about 2^69.4), dense ranges, chunk edges and caps that fall between the
-R and the L of a shortcut step. ``--quick`` runs a seconds-long subset
-of 33.
+(about 2^69.4), dense ranges, chunk edges, caps that fall between the
+R and the L of a shortcut step, and the edges of the survey's mod 2^8
+sieve: caps 5-7, ranges that end just before and at the first row its
+243 n >= 256 lo gate admits, and a range across its cut at
+(2^63 - 1) // 80. ``--quick`` runs a seconds-long subset of 34.
 
 ``--cli`` checks the command line instead: each case is one argv that
 each tree's child runs through ``cli.main`` in a working directory of
@@ -41,8 +43,9 @@ an unwritable output (exit 3). ``--quick`` runs a subset of 16.
 one copy of it): a word of 11-25 bits, where excursions, big rows, inputs
 past the word and capped merge leaders occur in ranges of a few thousand
 rows. Each draw's rows are checked against the exact walker and the
-per-symbol oracle, seeds 0, 1, 2, ... until the time runs out. With
-``--against`` the same seeds also run on that revision, side by side.
+per-symbol oracle, and by the tests' descent certificate, seeds 0, 1,
+2, ... until the time runs out. With ``--against`` the same seeds also
+run on that revision, side by side.
 Each tree's line gives the seeds that passed and the first failing seed;
 the exit status is 1 if a seed fails or hangs, 2 if a tree cannot be
 exported or run, and 0 otherwise.
@@ -153,6 +156,7 @@ while time.monotonic() < deadline:
         result = collatz.survey(lo, hi, rule)
         tests.assert_rows_exact(result, range(len(result)))
         tests.assert_big_placeholders(result, constants["_INT64_MAX"])
+        tests.assert_descent_certificates(result)
     except Exception as err:
         print(json.dumps(["fails", seed, f"{type(err).__name__}: {err}"[:300],
                           [lo, hi, repr(rule), constants]]), flush=True)
@@ -238,6 +242,17 @@ def full_cases() -> list[tuple]:
     cases += [_case(1 << e, (1 << e) + 4095, "one", cap)
               for e in (69, 70) for cap in (UNCAPPED, 100)]
     cases += [_case(lo, hi, "repeat", cap) for lo, hi in parking[::2] for cap in (UNCAPPED, 100)]
+    # The survey's mod 2^8 sieve takes rows n = 3 mod 4 with 243 n >= 256 lo. For
+    # lo = 100039 the first such row, 105391, descends into the range at step 8
+    # (T^8(n) = 243 q + t); one range ends just before it, one at it. Caps 5-7
+    # sit at its cap gate: its fewest steps are 6.
+    cases += _both_modes([(100039, 105390), (100039, 105391)], (7, UNCAPPED))
+    cases += _both_modes([(1, 70000), (30001, 100000)], (5, 6, 7))
+    # At this word the ratio gate closes long before the sieve's word cut: no
+    # range of RANGE_CAP inputs spans the 5% it would take. The scale model's
+    # words (--scale) cross the cut with the sieve on.
+    cut = _INT64_MAX // 80
+    cases += _both_modes([(cut - 1500, cut + 1500)], (UNCAPPED, 100))
     for cap in (5, 10, 20, 40, 60, 80, 100, 110, 111, 112,
                 117, 118, 119, 130, 150, 175, 200, 220, 240, 250):
         cases += _both_modes([(1, 3000)], (cap,))
@@ -263,6 +278,8 @@ def quick_cases() -> list[tuple]:
               _case(1 << 64, (1 << 64) + 4095, "one", UNCAPPED)]
     # Lanes parked past the guard when the cap arrives.
     cases.append(_case(1 << 64, (1 << 64) + 4095, "one", 40))
+    # A range whose last row is the first the mod 2^8 sieve may take.
+    cases.append(_case(100039, 105391, "one", UNCAPPED))
     return cases
 
 
