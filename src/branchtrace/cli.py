@@ -123,39 +123,20 @@ def _quads() -> np.ndarray:
     return np.concatenate([(digits > 0) * text, text]).view(np.uint32)[:, 0]
 
 
-def _field(column) -> np.ndarray:
-    """A block of a column as text in a uint8 matrix, one row per value and
-    zero bytes as padding. A column is a range or an int64 array of
-    non-negative ints, a uint8 array of stop codes, or a sequence of ints."""
-    import numpy as np
-    if isinstance(column, range) and column[-1] <= np.iinfo(np.int64).max:
-        column = np.arange(column.start, column.stop, dtype=np.int64)
-    kind = getattr(column, "dtype", None)
-    if kind != np.int64:
-        # A stop code indexes its stop reason's text.
-        text = (np.array([reason.value for reason in collatz._REASON_CODES], "S")[column]
-                if kind == np.uint8 else np.array([str(v) for v in column], "S"))
-        return text.view(np.uint8).reshape(len(text), text.itemsize)
-    v = column.view(np.uint64)
-    quads = np.empty((len(str(int(v.max()))) + 3 >> 2, v.size), dtype=np.uint32)
-    for row in quads[::-1]:
-        q = v // 10_000
-        np.take(_quads(), v - 10_000 * q + 10_000 * np.minimum(q, 1), out=row)
-        v = q
-    text = np.ascontiguousarray(quads.T).view(np.uint8)
-    text[:, -1] |= ord("0")  # the last digit is always written: 0 prints as 0
-    return text
-
-
 def _write_rows(write, keys: tuple[str, ...], columns: tuple, indent: int | None = None,
                 big: tuple[int, dict[int, int]] | None = None) -> None:
-    """Rows of ``columns`` (see :func:`_field`) as CSV with a header line or,
-    given an ``indent``, as a JSON array of row objects closed at ``indent``.
+    """Rows of ``columns`` as CSV with a header line or, given an ``indent``,
+    as a JSON array of row objects closed at ``indent``. A column is a range
+    of non-negative ints or an array of them (int64 or object), or a uint8
+    array of stop codes. ``big`` = (i, {row: value}) holds the values that
+    column i's entries stand in for.
 
-    ``big`` = (i, {row: value}) holds the values that column i's entries
-    stand in for. Each block of rows is one uint8 matrix, the fields between
-    fixed template bytes, written without its zero bytes. Fields need no
-    escaping, so the JSON matches json.dumps(indent=2) byte for byte.
+    Each field has one width for the whole write, so every row has one
+    layout: template bytes, and zero bytes where the fields go. The template
+    is laid once into a block buffer; per block of rows each field is
+    written into its slice in place, int64 digits four at a time from
+    :func:`_quads`, and the block is written without its zero bytes. Fields
+    need no escaping, so the JSON matches json.dumps(indent=2) byte for byte.
     """
     import numpy as np
     if indent is None:
@@ -166,24 +147,47 @@ def _write_rows(write, keys: tuple[str, ...], columns: tuple, indent: int | None
         # Each row opens with ",\n"; the first one's comma becomes "[".
         pieces = [f',\n{pad}{{\n{pad}  "{keys[0]}": "',
                   *(f'",\n{pad}  "{key}": "' for key in keys[1:]), f'"\n{pad}}}']
-    pieces = [np.frombuffer(piece.encode("ascii"), dtype=np.uint8) for piece in pieces]
-    spliced, values = big or (0, {})
+    size, (spliced, values) = len(columns[0]), big or (0, {})
     rows = np.array(sorted(values), dtype=np.int64)
-    for start in range(0, len(columns[0]), _BLOCK):
-        fields = [_field(column[start:start + _BLOCK]) for column in columns]
-        size = len(fields[0])
-        at = rows[slice(*np.searchsorted(rows, (start, start + size)))]
-        if at.size:
-            text = _field([values[row] for row in at.tolist()])
-            field = fields[spliced] = np.pad(fields[spliced], ((0, 0), (0, text.shape[1])))
-            field[at - start] = np.pad(text, ((0, 0), (field.shape[1] - text.shape[1], 0)))
-        parts = [pieces[0], *(part for pair in zip(fields, pieces[1:]) for part in pair)]
-        block = np.concatenate([np.broadcast_to(p, (size, p.shape[-1])) for p in parts], axis=1)
-        if start == 0 and indent is not None:
-            block[0, 0] = ord("[")
-        write(block.tobytes().translate(None, b"\0"))
+    texts = np.array([str(values[row]) for row in rows.tolist()], "S")
+    template, fields = pieces[0], []
+    for i, (column, piece) in enumerate(zip(columns, pieces[1:])):
+        ranged = isinstance(column, range)
+        top = max(column[-1:], default=0) if ranged else column.max(initial=0)
+        digits = top <= np.iinfo(np.int64).max if ranged else column.dtype == np.int64
+        # A stop code indexes its reason's text; no code above top occurs.
+        table = (np.array([reason.value for reason in collatz._REASON_CODES[:top + 1]], "S")
+                 if not ranged and column.dtype == np.uint8 else None)
+        width = max(len(str(top)) if table is None else table.itemsize,
+                    texts.itemsize if i == spliced else 0)
+        width += -width % 4 if digits else 0  # int fields are whole quads
+        fields.append((column, len(template), width, digits, table))
+        template += "\0" * width + piece
+    buf = np.empty((min(_BLOCK, size), len(template)), dtype=np.uint8)
+    buf[:] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+    slots = [buf[:, at:at + width].view(f"S{width}")[:, 0] for _, at, width, *_ in fields]
+    for start in range(0, size, _BLOCK):
+        block = buf[:min(_BLOCK, size - start)]
+        for (column, at, width, digits, table), slot in zip(fields, slots):
+            part = column[start:start + len(block)]
+            if not digits:
+                slot[:len(block)] = [str(v) for v in part] if table is None else table[part]
+                continue
+            if isinstance(part, range):
+                part = np.arange(part.start, part.stop, dtype=np.int64)
+            v, quads = part.view(np.uint64), block[:, at:at + width].view(np.uint32)
+            for quad in quads.T[:0:-1]:
+                q = v // 10_000
+                np.take(_quads(), v - 10_000 * q + 10_000 * np.minimum(q, 1), out=quad)
+                v = q
+            np.take(_quads(), v, out=quads[:, 0])  # the lead quad, v < 10^4
+            block[:, at + width - 1] |= ord("0")  # the last digit is always written: 0 prints as 0
+        here = slice(*np.searchsorted(rows, (start, start + len(block))))
+        slots[spliced][rows[here] - start] = texts[here]
+        text = block.tobytes().translate(None, b"\0")
+        write(b"[" + text[1:] if start == 0 and indent is not None else text)
     if indent is not None:
-        write(b"\n" + b" " * indent + b"]" if len(columns[0]) else b"[]")
+        write(b"\n" + b" " * indent + b"]" if size else b"[]")
 
 
 _SURVEY_HEADER = ("n", "steps", "peak", "l_count", "stop_reason")

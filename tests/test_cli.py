@@ -255,6 +255,17 @@ def _big_case():
     return cli._SURVEY_HEADER, columns, (2, _BIG), rows
 
 
+# The widest int64 behind 129 narrow values: in the last of three blocks of
+# 64 rows, or, reversed, in the first.
+_NARROW_THEN_WIDE = [*range(129), 2**63 - 1]
+
+
+def _codes_case(codes):
+    reasons = [reason.value for reason in collatz.StopReason]
+    columns = (range(1, len(codes) + 1), np.array(codes, dtype=np.uint8))
+    return ("n", "stop_reason"), columns, (0, {}), [(i + 1, reasons[c]) for i, c in enumerate(codes)]
+
+
 _ROW_CASES = {
     "width edges": lambda: (("v", "w"), (np.array(_WIDTH_EDGES), np.array(_WIDTH_EDGES[::-1])),
                             (0, {}), list(zip(_WIDTH_EDGES, _WIDTH_EDGES[::-1]))),
@@ -267,6 +278,21 @@ _ROW_CASES = {
     "bound across 2^63": lambda: _bound_case(bounds.bound_report(2**63 - 9, 2**63 + 9)),
     # n is an int64 column here, an object one across 2^63; the bytes agree.
     "bound at 2^62 + 1": lambda: _bound_case(bounds.bound_report(2**62 + 1, 2**62 + 20)),
+    "widest value last, and first": lambda: (
+        ("v", "w"), (np.array(_NARROW_THEN_WIDE), np.array(_NARROW_THEN_WIDE[::-1])), (0, {}),
+        list(zip(_NARROW_THEN_WIDE, _NARROW_THEN_WIDE[::-1]))),
+    "stop codes: reached_one only": lambda: _codes_case([0] * 70),
+    # The first block of 64 rows holds only the narrowest code.
+    "stop codes: all three": lambda: _codes_case([0] * 64 + [1, 2, 0, 2, 1, 0]),
+    # The splice lands in the row whose first byte a JSON write patches to "[".
+    "big value in row 0 of field 0": lambda: (
+        ("n", "w"), (np.array([2**63 - 1, 5, 60]), np.array([1, 22, 3])), (0, {0: 2**64}),
+        [(2**64, 1), (5, 22), (60, 3)]),
+    "zero rows": lambda: (
+        cli._SURVEY_HEADER, (range(1, 1), *[np.zeros(0, dtype=np.int64)] * 3,
+                             np.zeros(0, dtype=np.uint8)), (2, {}), []),
+    # Every input capped: n is an empty object column.
+    "zero rows past int64": lambda: _bound_case(bounds.bound_report(2**63 - 9, 2**63 + 9, 1)),
 }
 
 

@@ -33,7 +33,7 @@ def test_quick_cli_cases_match_head():
                            "--cli", "--quick", "--against", "HEAD"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith("16 cases against HEAD: 16 bit-identical, 0 differ\n")
+    assert proc.stdout.endswith("17 cases against HEAD: 17 bit-identical, 0 differ\n")
 
 
 @needs_git

@@ -31,12 +31,13 @@ its own, holding the same input files. Its fingerprint is the sha256 of
 the exit code, stdout, stderr and each ``--out``/``--pbm``/``--center``
 file (or its absence), shown after the exit code; under a case that
 differs, each tree's exit code and last stderr line follow. The full
-set of 128 cases covers survey and bound across 2^62, 2^63 - 1 and
-2^64 in CSV and JSON, rule 30 images and center columns in both modes, every ``test``
+set of 131 cases covers survey and bound across 2^62, 2^63 - 1 and
+2^64 in CSV and JSON, ranges where a field's width changes inside one
+block of rows, rule 30 images and center columns in both modes, every ``test``
 statistic, ``digest`` of the empty message and of 1 MiB, ``trace`` and
 ``invert`` at 2^200, ``--help``, zero steps, usage errors, values the
 library refuses, and unreadable, non-0/1 or non-ASCII input (exit 2) and
-an unwritable output (exit 3). ``--quick`` runs a subset of 16.
+an unwritable output (exit 3). ``--quick`` runs a subset of 17.
 
 ``--scale SECONDS`` runs seeded draws of the survey kernel's scale model,
 ``scale_model`` in ``tests/test_collatz.py`` (loaded by path, so there is
@@ -316,6 +317,11 @@ def cli_cases() -> list[tuple]:
               _cli_case("survey", 27, 5000, "--format", "json", "--out", "dense.json"),
               _cli_case("bound", 1, 5000, "--format", "json", "--out", "dense.json"),
               _cli_case("bound", 1, 5000, "--out", "dense.csv")]
+    # A field's width changes inside one block of rows: n crosses 10^4,
+    # b_bits 16 -> 17, and n 10^4 again in JSON on stdout.
+    cases += [_cli_case("survey", 9000, 14000, "--out", "w.csv"),
+              _cli_case("bound", 65000, 70000, "--format", "json", "--out", "w.json"),
+              _cli_case("survey", 1, 20000, "--format", "json")]
     for args in (("--steps", 200), ("--steps", 150, "--mode", "wrap", "--width", 101),
                  ("--init", "random", "--width", 129, "--seed", 7, "--steps", 300),
                  ("--init", "random", "--width", 64, "--seed", 3, "--steps", 100,
@@ -371,6 +377,7 @@ def quick_cli_cases() -> list[tuple]:
     lo, hi = _CLI_WINDOWS[1]
     return [_cli_case("survey", lo, hi), _cli_case("bound", lo, hi, "--format", "json"),
             _cli_case("survey", 1, 3000, "--format", "json", "--out", "s.json"),
+            _cli_case("survey", 9000, 14000, "--out", "w.csv"),
             _cli_case("rule30", "--steps", 150, "--pbm", "g.pbm", "--center", "c.txt"),
             _cli_case("rule30", "--init", "random", "--width", 129, "--seed", 7, "--steps", 300,
                       "--pbm", "g.pbm", "--center", "c.txt"),
