@@ -354,10 +354,10 @@ def _cmd_digest(args) -> int:
     dyncompose.init(key)  # refuses a key of the wrong length before the file is read
     message = _read_bytes(args.infile)
     value, trace = dyncompose.digest(key, message)
-    out = value.hex() + "\n"
-    if args.emit_trace:
-        out += trace + "\n"
-    sys.stdout.write(out)
+    sys.stdout.write(value.hex() + "\n")
+    if args.emit_trace:  # written apart, since a joined line would copy the schedule again
+        sys.stdout.write(trace)
+        sys.stdout.write("\n")
     return 0
 
 

@@ -1,11 +1,15 @@
 """A toy keyed digest driven by state-selected round functions.
 
-Two simple ARX rounds, f and g, are composed per absorbed block: before
-each of the 16 rounds the least-significant bit of w0 picks which one
-runs next, and the choice is appended to a branch trace (L for f, R for
-g). The trace is returned alongside the digest; :func:`replay` forces
-the same schedule and reproduces the digest bit-exactly, so the trace
-is a complete description of the composed function for that input.
+The state is four 64-bit words, w0..w3, which :func:`init` reads from
+the key. Each 32-byte block of the padded message is XORed into them,
+and two simple ARX rounds, f and g, are composed 16 times: before each
+round the least-significant bit of w0 picks which one runs next, and
+the choice is appended to a branch trace (L for f, R for g). The trace
+is returned alongside the digest; :func:`replay` forces the same
+schedule and reproduces the digest bit-exactly, so the trace is a
+complete description of the composed function for that input. Both run
+every round through one driver, which reads the message's whole blocks
+in place and builds only the padded tail.
 
 WARNING: this is a demonstration object for studying input-dependent
 composition. It is NOT a cryptographic primitive, has had no
@@ -14,9 +18,10 @@ cryptanalysis, and must not be used to protect anything.
 
 from __future__ import annotations
 
+import itertools
 import struct
 
-from .errors import BlockLengthError, DomainError, KeyLengthError, require_int
+from .errors import DomainError, KeyLengthError, require_int
 
 KEY_LEN = 32
 BLOCK_LEN = 32
@@ -30,29 +35,13 @@ _MASK = (1 << 64) - 1
 _WORDS = struct.Struct("<4Q")
 
 
-class CompositionState:
-    """Four 64-bit words plus the branch trace accumulated so far."""
-
-    __slots__ = ("w0", "w1", "w2", "w3", "trace", "absorbed_bytes")
-
-    def __init__(self, w0: int, w1: int, w2: int, w3: int):
-        self.w0 = w0
-        self.w1 = w1
-        self.w2 = w2
-        self.w3 = w3
-        self.trace: list[str] = []
-        self.absorbed_bytes = 0
-
-    def words(self) -> tuple[int, int, int, int]:
-        return (self.w0, self.w1, self.w2, self.w3)
-
-
-def init(key: bytes) -> CompositionState:
-    """State from a 32-byte key: w0..w3 little-endian, empty trace."""
+def init(key: bytes) -> tuple[int, int, int, int]:
+    """The four state words from a 32-byte key, little-endian: the words
+    :func:`_drive` starts from."""
     key = _bytes(key, "key", KeyLengthError)
     if len(key) != KEY_LEN:
         raise KeyLengthError(f"key must be exactly {KEY_LEN} bytes, got {len(key)}")
-    return CompositionState(*_WORDS.unpack(key))
+    return _WORDS.unpack(key)
 
 
 def _drive(words, blocks, forced=None):
@@ -103,30 +92,18 @@ def _bytes(data, name: str, error: type[DomainError] = DomainError) -> bytes:
     return bytes(data)
 
 
-def absorb(state: CompositionState, block: bytes) -> CompositionState:
-    """XOR a 32-byte block into the words, then run 16 selected rounds."""
-    block = _bytes(block, "block")
-    if len(block) != BLOCK_LEN:
-        raise BlockLengthError(
-            f"block must be exactly {BLOCK_LEN} bytes, got {len(block)}"
-        )
-    words, schedule = _drive(state.words(), [_WORDS.unpack(block)])
-    state.w0, state.w1, state.w2, state.w3 = words
-    state.trace.extend(schedule)
-    state.absorbed_bytes += BLOCK_LEN
-    return state
-
-
-def _padded(message: bytes) -> bytes:
-    """The message with 0x80-terminated padding plus a final length block.
-
-    The length block is 16 zero bytes followed by the original message
-    bit length as a little-endian 128-bit integer.
+def _blocks(message: bytes):
+    """The message's blocks as word tuples: its whole blocks, unpacked in
+    place, then one built tail. The tail is the last partial block, 0x80,
+    zeros to a block edge, and a length block of 16 zero bytes and the
+    message bit length as a little-endian 128-bit integer. ``message`` is
+    the checked bytes; :func:`trace_length` counts the rounds they take.
     """
-    message = _bytes(message, "message")
-    padded = message + b"\x80"
-    padded += b"\x00" * (-len(padded) % BLOCK_LEN)
-    return padded + b"\x00" * 16 + (8 * len(message)).to_bytes(16, "little")
+    whole = len(message) - len(message) % BLOCK_LEN
+    tail = message[whole:] + b"\x80"
+    tail += bytes(-len(tail) % BLOCK_LEN + 16) + (8 * len(message)).to_bytes(16, "little")
+    return itertools.chain(_WORDS.iter_unpack(memoryview(message)[:whole]),
+                           _WORDS.iter_unpack(tail))
 
 
 def trace_length(message_len: int) -> int:
@@ -141,8 +118,7 @@ def trace_length(message_len: int) -> int:
 
 def digest(key: bytes, message: bytes) -> tuple[bytes, str]:
     """32-byte keyed digest of the message plus its full branch trace."""
-    state = init(key)
-    words, schedule = _drive(state.words(), _WORDS.iter_unpack(_padded(message)))
+    words, schedule = _drive(init(key), _blocks(_bytes(message, "message")))
     return _WORDS.pack(*words), schedule
 
 
@@ -153,15 +129,15 @@ def replay(key: bytes, message: bytes, trace: str) -> bytes:
     composition. Fed the trace that :func:`digest` returned for the
     same (key, message), this reproduces its digest bit-exactly.
     """
-    padded = _padded(message)
-    rounds = ROUNDS_PER_BLOCK * (len(padded) // BLOCK_LEN)
+    message = _bytes(message, "message")
+    rounds = trace_length(len(message))
     if len(trace) != rounds:
         raise DomainError(
             f"trace length {len(trace)} does not match {rounds} scheduled rounds"
         )
-    state = init(key)
+    words = init(key)
     if not {"L", "R"}.issuperset(trace):
         bad = next(sym for sym in trace if sym != "L" and sym != "R")
         raise DomainError(f"invalid branch symbol {bad!r}")
-    words, _ = _drive(state.words(), _WORDS.iter_unpack(padded), trace)
+    words, _ = _drive(words, _blocks(message), trace)
     return _WORDS.pack(*words)

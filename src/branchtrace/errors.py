@@ -30,10 +30,6 @@ class KeyLengthError(DomainError):
     """A digest key does not have the required length."""
 
 
-class BlockLengthError(DomainError):
-    """An absorbed block does not have the required length."""
-
-
 def require_int(value, name: str, least: int | None = None) -> None:
     """Raise :class:`DomainError` unless ``value`` is an int, not a bool,
     of at least ``least`` when one is given."""

@@ -773,7 +773,7 @@ def test_survey_followers_of_capped_leaders(monkeypatch, cap):
     assert all(result.stop_codes[f] == 2 and result.steps[f] == cap for f, _ in capped)
 
 
-@pytest.mark.parametrize("cap", [100, 110, 120])
+@pytest.mark.parametrize("cap", [100, 110, 120, 125])
 def test_survey_followers_short_of_capped_leaders(monkeypatch, cap):
     # In an all-big group the leader, of least exact peak, can have spent
     # more steps on excursions than a follower, whose chained total then
@@ -782,16 +782,24 @@ def test_survey_followers_short_of_capped_leaders(monkeypatch, cap):
     # (see above), so the range holds placeholder inputs past the lowered
     # word. Also with ranking blocks of 512 rows, where a lane in an earlier
     # block than its leader steps on.
+    # At cap 125 the range runs on to rows whose own totals fit the cap:
+    # followers n = 101,545 and 101,679 (110 steps to 1) of the capped leader
+    # n = 100,310 (141 steps). Their chains read code 2 and their redo reaches
+    # 1, so the redo pass must reset the stop codes it inherits.
     guard = 20_000
     monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
     merges = spy_merges(monkeypatch)
+    hi = 101_999 if cap == 125 else 101_499
     for rank in (512, _survey._RANK):
         monkeypatch.setattr(_survey, "_RANK", rank)
         merges.clear()
-        result = collatz.survey(100_000, 101_499, collatz.StopRule.at_one(cap))
+        result = collatz.survey(100_000, hi, collatz.StopRule.at_one(cap))
         assert_rows_exact(result, range(len(result)))
         assert any(delta < 0 and result.stop_codes[k] == 2 for _, k, delta, _ in merges)
         assert all(f // rank >= k // rank for f, k, _, _ in merges)
+        if cap == 125:
+            assert any(delta < 0 and result.stop_codes[k] == 2 and result.stop_codes[f] == 0
+                       for f, k, delta, _ in merges)
 
 
 @pytest.mark.parametrize("tail", [0, 1, 32, 256])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchtrace import dyncompose as dc
-from branchtrace.errors import BlockLengthError, DomainError, KeyLengthError
+from branchtrace.errors import DomainError, KeyLengthError
 
 import oracles
 
@@ -17,22 +17,17 @@ messages = st.binary(min_size=0, max_size=200)
 
 
 def test_init_little_endian_layout():
-    state = dc.init(bytes(range(32)))
-    assert state.w0 == 0x0706050403020100
-    assert state.w1 == 0x0F0E0D0C0B0A0908
-    assert state.w2 == 0x1716151413121110
-    assert state.w3 == 0x1F1E1D1C1B1A1918
-    assert state.trace == []
-    assert state.absorbed_bytes == 0
+    assert dc.init(bytes(range(32))) == (0x0706050403020100, 0x0F0E0D0C0B0A0908,
+                                         0x1716151413121110, 0x1F1E1D1C1B1A1918)
 
 
 def test_init_zero_key():
-    assert dc.init(bytes(32)).words() == (0, 0, 0, 0)
+    assert dc.init(bytes(32)) == (0, 0, 0, 0)
 
 
 def test_init_is_deterministic():
     key = bytes(range(32))
-    assert dc.init(key).words() == dc.init(key).words()
+    assert dc.init(key) == dc.init(key)
 
 
 @pytest.mark.parametrize("bad", [b"", bytes(31), bytes(33), "0" * 32, list(range(32)),
@@ -40,28 +35,6 @@ def test_init_is_deterministic():
 def test_init_rejects_bad_keys(bad):
     with pytest.raises(KeyLengthError):
         dc.init(bad)
-
-
-# ---------------------------------------------------------------- absorb
-
-
-def test_absorb_trace_grows_by_rounds_per_block():
-    state = dc.init(bytes(32))
-    dc.absorb(state, bytes(range(32)))
-    dc.absorb(state, bytes(range(32)))
-    assert len(state.trace) == 2 * dc.ROUNDS_PER_BLOCK
-
-
-def test_absorb_distinguishes_blocks():
-    a = dc.absorb(dc.init(bytes(32)), b"\x01" + bytes(31))
-    b = dc.absorb(dc.init(bytes(32)), b"\x02" + bytes(31))
-    assert a.words() != b.words()
-
-
-@pytest.mark.parametrize("bad", [b"", bytes(31), bytes(33)])
-def test_absorb_rejects_bad_blocks(bad):
-    with pytest.raises(BlockLengthError):
-        dc.absorb(dc.init(bytes(32)), bad)
 
 
 # ---------------------------------------------------------------- digest
@@ -165,20 +138,20 @@ def test_messages_and_blocks_must_be_bytes():
     # An iterable of ints is not a message, nor is a str or an int.
     key = bytes(32)
     for call in (lambda: dc.digest(key, [1, 2]), lambda: dc.digest(key, "abc"),
-                 lambda: dc.digest(key, 5), lambda: dc.replay(key, 5, ""),
-                 lambda: dc.absorb(dc.init(key), list(range(32))),
-                 lambda: dc.absorb(dc.init(key), "x" * 32)):
+                 lambda: dc.digest(key, 5), lambda: dc.replay(key, 5, "")):
         with pytest.raises(DomainError):
             call()
     message = bytes(range(40))
     for kind in (bytearray, memoryview):
         assert dc.digest(key, kind(message)) == dc.digest(key, message)
         assert dc.digest(kind(message[:32]), message) == dc.digest(message[:32], message)
-        block = kind(message[:32])
-        assert dc.absorb(dc.init(key), block).words() == \
-            dc.absorb(dc.init(key), message[:32]).words()
     # A memoryview's length is its byte count, not its item count.
-    assert dc.init(memoryview(message[:32]).cast("Q")).words() == dc.init(message[:32]).words()
+    assert dc.init(memoryview(message[:32]).cast("Q")) == dc.init(message[:32])
+    value, schedule = dc.digest(key, message)
+    words = memoryview(message).cast("Q")
+    assert len(words) == 5
+    assert dc.digest(key, words) == (value, schedule)
+    assert dc.replay(key, words, schedule) == value
 
 
 def test_replay_with_wrong_schedule_diverges():
@@ -195,17 +168,15 @@ VECTOR_LENGTHS = [0, 1, 31, 32, 33, 63, 64, 65, 1024]
 
 @pytest.mark.parametrize("length", VECTOR_LENGTHS)
 @pytest.mark.parametrize("key", VECTOR_KEYS, ids=["zero", "seeded1", "seeded2"])
-def test_digest_replay_absorb_match_oracle(key, length):
+def test_digest_replay_match_oracle(key, length):
+    # The lengths give the tail before the length block each of its shapes:
+    # no partial block (0, 32, 64, 1024), so 0x80 starts a block of padding
+    # alone; 31 bytes over (31, 63), which 0x80 closes; and 1 byte over.
     message = random.Random(length).randbytes(length)
     value, schedule = oracles.digest(key, message)
-    assert dc.digest(key, message) == (value, schedule)
-    assert dc.replay(key, message, schedule) == value
-    state = dc.init(key)
-    for block in oracles.digest_blocks(message):
-        dc.absorb(state, block)
-    assert b"".join(w.to_bytes(8, "little") for w in state.words()) == value
-    assert "".join(state.trace) == schedule
-    assert state.absorbed_bytes == 32 * len(oracles.digest_blocks(message))
+    for kind in (bytes, bytearray, memoryview):
+        assert dc.digest(key, kind(message)) == (value, schedule)
+        assert dc.replay(key, kind(message), schedule) == value
 
 
 @pytest.mark.parametrize("length", [0, 33, 1024])

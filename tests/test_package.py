@@ -22,8 +22,7 @@ PUBLIC = {
     "collatz": "collatz StopMode StopReason StopRule SurveyResult TraceRecord decode replay survey "
                "trace",
     "dyncompose": "dyncompose",
-    "errors": "BlockLengthError BranchTraceError DomainError InconsistentTrace KeyLengthError "
-              "ResourceError",
+    "errors": "BranchTraceError DomainError InconsistentTrace KeyLengthError ResourceError",
     "prng": "XorShift64Star",
     "randstat": "randstat AvalancheReport TestReport avalanche battery monobit runs_test "
                 "serial_test shannon_entropy",

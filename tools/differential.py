@@ -31,13 +31,15 @@ its own, holding the same input files. Its fingerprint is the sha256 of
 the exit code, stdout, stderr and each ``--out``/``--pbm``/``--center``
 file (or its absence), shown after the exit code; under a case that
 differs, each tree's exit code and last stderr line follow. The full
-set of 131 cases covers survey and bound across 2^62, 2^63 - 1 and
+set of 143 cases covers survey and bound across 2^62, 2^63 - 1 and
 2^64 in CSV and JSON, ranges where a field's width changes inside one
 block of rows, rule 30 images and center columns in both modes, every ``test``
-statistic, ``digest`` of the empty message and of 1 MiB, ``trace`` and
+statistic, ``digest`` of the empty message, of 1 MiB and at the block
+edges (31, 32 and 33 bytes: 0x80 closes a block, starts a block of
+padding alone, or follows one byte over), ``trace`` and
 ``invert`` at 2^200, ``--help``, zero steps, usage errors, values the
 library refuses, and unreadable, non-0/1 or non-ASCII input (exit 2) and
-an unwritable output (exit 3). ``--quick`` runs a subset of 17.
+an unwritable output (exit 3). ``--quick`` runs a subset of 18.
 
 ``--scale SECONDS`` runs seeded draws of the survey kernel's scale model,
 ``scale_model`` in ``tests/test_collatz.py`` (loaded by path, so there is
@@ -109,7 +111,8 @@ rng = random.Random("differential-cli")
 bits = "".join(rng.choice("01") for _ in range(20000))
 inputs = {"empty.bin": b"", "mib.bin": rng.randbytes(1 << 20), "ones.txt": b"1" * 1000,
           "bits.txt": "\n".join(bits[i:i + 64] for i in range(0, len(bits), 64)).encode(),
-          "short.txt": b"0110", "junk.txt": b"01x10", "latin.txt": "01é10".encode()}
+          "short.txt": b"0110", "junk.txt": b"01x10", "latin.txt": "01é10".encode(),
+          **{f"b{size}.bin": rng.randbytes(size) for size in (31, 32, 33)}}
 for path, data in inputs.items():
     pathlib.Path(path).write_bytes(data)
 for name, argv in json.loads(pathlib.Path(sys.argv[1]).read_text()):
@@ -339,7 +342,7 @@ def cli_cases() -> list[tuple]:
               for path in ("short.txt", "junk.txt", "empty.bin", "no-such-file.txt")]
     cases += [_cli_case("test", "entropy", "--in", path)
               for path in ("junk.txt", "latin.txt", "empty.bin")]
-    for path in ("empty.bin", "mib.bin"):
+    for path in ("empty.bin", "mib.bin", "b31.bin", "b32.bin", "b33.bin"):
         cases += [_cli_case("digest", "--key", key, "--in", path, *flag)
                   for key in (_ZERO_KEY, "0123456789abcdef" * 4)
                   for flag in ((), ("--emit-trace",))]
@@ -385,6 +388,7 @@ def quick_cli_cases() -> list[tuple]:
             _cli_case("test", "monobit", "--in", "ones.txt"),
             _cli_case("test", "entropy", "--in", "bits.txt"),
             _cli_case("digest", "--key", _ZERO_KEY, "--in", "empty.bin", "--emit-trace"),
+            _cli_case("digest", "--key", "0123456789abcdef" * 4, "--in", "b31.bin", "--emit-trace"),
             _cli_case("trace", (1 << 200) + 7),
             _cli_case("invert", "--trace", _hailstone((1 << 200) + 7), "--terminal", 1),
             _cli_case("invert", "--trace", "LLRR", "--terminal", 1),
