@@ -179,6 +179,28 @@ def test_digest_replay_match_oracle(key, length):
         assert dc.replay(key, kind(message), schedule) == value
 
 
+@pytest.mark.parametrize("length", VECTOR_LENGTHS)
+def test_blocks_match_oracle_padding(length):
+    # The driver's block stream is the oracle's padded blocks as words, and
+    # the schedule runs ROUNDS_PER_BLOCK rounds on each of them.
+    message = random.Random(length).randbytes(length)
+    expected = [dc._WORDS.unpack(block) for block in oracles.digest_blocks(message)]
+    assert list(dc._blocks(message)) == expected
+    assert dc.trace_length(length) == dc.ROUNDS_PER_BLOCK * len(expected)
+
+
+def test_schedule_prefix_follows_shared_blocks():
+    # Each block's rounds run before the next block is read, so messages
+    # that share their first k whole blocks share the first 16k symbols.
+    key = VECTOR_KEYS[2]
+    shared = random.Random("shared").randbytes(2 * dc.BLOCK_LEN)
+    a, sa = dc.digest(key, shared + b"\x01" + bytes(31))
+    b, sb = dc.digest(key, shared + b"\x02" + bytes(31))
+    assert a != b
+    prefix = 2 * dc.ROUNDS_PER_BLOCK
+    assert sa[:prefix] == sb[:prefix] == dc.digest(key, shared)[1][:prefix]
+
+
 @pytest.mark.parametrize("length", [0, 33, 1024])
 def test_replay_follows_schedules_digest_never_selects(length):
     # g sets lsb(w0) to 0 within a block, so a selected schedule has no RR
