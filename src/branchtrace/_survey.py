@@ -6,10 +6,10 @@ lockstep that each chunk of rows runs twice. Before it, a sieve on n
 mod 2^8 fills the rows whose first descent the residue fixes: the low K
 bits of n fix its first K shortcut steps (R. Terras, Acta Arith. 30,
 1976), and verification runs sieve residue classes the same way (T.
-Oliveira e Silva, Math. Comp. 68, 1999). Even n and n = 1 mod 4 come
-from two strided slices, and the 45 of the 64 classes of n = 3 mod 4
-that descend within 8 steps from one gather over the table _DESCENT,
-built from the exact walker's block table. In the first pass a row
+Oliveira e Silva, Math. Comp. 68, 1999). Even n come from a strided
+slice, and odd n from one gather over the table _DESCENT, built from the
+exact walker's block table: every class n = 1 mod 4 descends in 3 steps,
+and 45 of the 64 classes n = 3 mod 4 within 8. In the first pass a row
 steps until it falls to a row of the range, meets another lane at one
 value, reaches 1 or hits the step cap; its totals then add up along
 these links. In the second, the rows whose linked total tops the cap
@@ -18,7 +18,8 @@ value is past the int64 step guard parks: it keeps stepping in the same
 rounds as an exact Python int until back at or below the guard. Lanes
 leave the rounds for exact walks at one site: the last few lanes walk
 to 1, parked lanes walk once the cap is near, and a value past the
-walk's block threshold walks down to the guard. Only the ON_REPEAT rows
+walk's block threshold walks down to the guard. The cap check follows
+that site, so it meets no parked lane. Only the ON_REPEAT rows
 that no AT_ONE row settles, n = 1, 2 and rows capped short of 1, are
 walked one at a time.
 """
@@ -161,46 +162,40 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     # Rows whose first descent their residue fixes never become lanes: the low
     # K bits of n fix its first K shortcut steps (Terras, 1976), so a table
     # over n mod 2^K sieves the rows, as verification runs sieve residue
-    # classes mod 2^k (T. Oliveira e Silva, Math. Comp. 68, 1999). Two strided
-    # slices take the classes mod 4 whose descent needs no table. An even n
-    # steps to n/2, and an n = 1 mod 4 to 3n + 1, (3n + 1)/2 and (3n + 1)/4,
-    # with no value below n or 1 before these. So the target is n/2 (1 step,
-    # 1 halving, peak n) for even n >= 2 lo, and (3n + 1)/4 (3 steps, 2
-    # halvings, peak 3n + 1) for n = 1 mod 4 with 5 <= n <= the guard, so
-    # that 3n + 1 fits int64, 3n + 1 >= 4 lo (n >= (4 lo + 1) // 3) and a cap
-    # of at least 3. An even n past int64 reads 2^63 - 1 (see survey), so no
-    # range may hold both it and n/2; no range of RANGE_CAP inputs can.
-    # Then one gather over the rows n = 3 mod 4 reads _DESCENT at n mod 2^8
-    # (45 of its 64 such classes descend within 8 steps) and retires each
-    # row with q >= q0 whose i + a steps fit the cap and whose T^i(n) is at
-    # least lo. It writes what the lockstep's descent check would: i + a
-    # steps, i halvings, peak A q + B and target T^i(n). No round before i
-    # retires the lane, since its values are at least n, merges start at
-    # round _MERGE_EVERY (32) and no value passes the guard, since the peak
-    # fits the word.
-    # The gather runs only where it can pay: at a cap of at least 6, the
-    # fewest steps of such a descent (n = 3 mod 16), and for 243 n >= 256 lo,
+    # classes mod 2^k (T. Oliveira e Silva, Math. Comp. 68, 1999). A strided
+    # slice takes the even n, which need no table: the target is n/2 (1 step,
+    # 1 halving, peak n) for n >= 2 lo. An even n past int64 reads 2^63 - 1
+    # (see survey), so no range may hold both it and n/2; no range of
+    # RANGE_CAP inputs can.
+    # Then one gather over the odd rows reads _DESCENT at n mod 2^8 (the 64
+    # classes n = 1 mod 4 descend to (3n + 1)/4 in 3 steps, and 45 of the 64
+    # classes n = 3 mod 4 within 8) and retires each row with q >= q0 whose
+    # i + a steps fit the cap and whose T^i(n) is at least lo. Only s = 1 has
+    # q0 > 0: n = 1 never descends. It writes what the lockstep's descent
+    # check would: i + a steps, i halvings, peak A q + B and target T^i(n).
+    # No round before i retires the lane, since its values are at least n,
+    # merges start at round _MERGE_EVERY (32) and no value passes the guard,
+    # since the peak fits the word.
+    # The gather runs only where it can pay: at a cap of at least 3, the
+    # fewest steps of such a descent (n = 1 mod 4), and for 243 n >= 256 lo,
     # since T^i(n) is about C n / 2^8 with C at most 3^5. It also needs
     # n <= _INT64_MAX // 80, so that A q + B fits the word (A < 16 * 2^8);
     # the word is read here, so a smaller one (see the tests) cuts it too.
     n = max(2 * lo, first)
     even = slice(n + (n & 1) - first, size, 2)
-    n = max(5, first, (4 * lo + 1) // 3)
-    odd = slice(n + (1 - n) % 4 - first,
-                max(0, min(size, guard + 1 - first)) if max_steps >= 3 else 0, 4)
     s[even], lc[even], target[even] = 1, 1, (pk[even] >> 1) - low
-    pk[odd] = 3 * pk[odd] + 1
-    s[odd], lc[odd], target[odd] = 3, 2, (pk[odd] >> 2) - low
     n = max(first, -(-256 * lo // 243))
-    sieve = slice(min(size, n + (3 - n) % 4 - first),
-                  max(0, min(size, _INT64_MAX // 80 + 1 - first)) if max_steps >= 6 else 0, 4)
+    sieve = slice(min(size, (n | 1) - first),
+                  max(0, min(size, _INT64_MAX // 80 + 1 - first)) if max_steps >= 3 else 0, 2)
     at, total, mul, add, rise, shift, least = _DESCENT  # i, i + a, C, t, A, B, q0
     key, q = pk[sieve] & _MASK, pk[sieve] >> _K
-    value = mul[key] * q + add[key]
-    hit = np.nonzero((q >= np.where(total > max_steps, 1 << 62, least)[key]) & (value >= low))[0]
-    rows, key, q = sieve.start + 4 * hit, key[hit], q[hit]
-    s[rows], lc[rows], pk[rows], target[rows] = (
-        total[key], at[key], rise[key] * q + shift[key], value[hit] - low)
+    value = mul[key] * q + add[key] - low
+    hit = np.nonzero((q >= np.where(total > max_steps, 1 << 62, least)[key]) & (value >= 0))[0]
+    # s[sieve] is a view, so s[sieve][hit] writes the rows hit; the peaks go
+    # in a statement of their own, so that fewer temporaries live at once.
+    key, q, value = key[hit], q[hit], value[hit]
+    s[sieve][hit], lc[sieve][hit], target[sieve][hit] = total[key], at[key], value
+    pk[sieve][hit] = rise[key] * q + shift[key]
 
     def lockstep(lane, cur, span, merge):
         """Step the rows ``lane`` (offsets into the chunk, ascending) from the
@@ -248,24 +243,9 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             # taken`` (a parked lane's odd steps included) never grows in a
             # round; ``wide`` is its largest value after any walk. So no lane is
             # past 2 * taken + wide steps, and lanes need checking only once that
-            # is within two steps of the cap; parked lanes are walked first (see
-            # below). One with no step left, or with one left before an R that
-            # fits int64, stops at the cap, with peak 3x + 1 in the second case.
-            # An odd lane past the guard takes its last step on its walk; an even
-            # one takes it in the round. A tail round skips the check, since its
-            # walks stop at the cap themselves.
+            # is within two steps of the cap.
             tail = lane.size <= _TAIL
             capping = 2 * taken + wide + 2 > max_steps
-            if capping and not tail and not parked:
-                left = max_steps - taken - ahead
-                done = (left == 0) | (left == 1) & (cur & 1 == 1) & (cur <= guard)
-                if done.any():
-                    j = lane[done]
-                    s[j], lc[j], cd[j], pk[j] = max_steps, taken + halves[done], 2, np.maximum(
-                        top[done], 3 * np.where(left[done], cur[done], 0) + 1)
-                    lane, span, cur, top, halves, ahead = _keep(
-                        ~done, lane, span, cur, top, halves, ahead)
-                    continue
             # An odd value past the guard would overflow int64 at its next step.
             # Its lane parks: the slot holds 0, a value no round reaches (T(0) =
             # 0, below every descent target, never 1, and in no merge group), and
@@ -277,15 +257,16 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             # at most _TAIL lanes left (the tail), every lane walks with floor 1,
             # to 1 or to the cap, and the rows are written. Once the cap is near,
             # parked lanes and lanes due to park walk with the guard as floor,
-            # so that the cap check sees every lane. A value at or past
-            # ``block`` walks to the guard, since 8-step blocks take it down
-            # faster than rounds do. An odd step past the guard tops int64, so
-            # the row is big: a peak reaching 2^63 - 1 is kept in ``big_peaks``
-            # and clipped to 2^63 - 1 in ``top``. No other row holds 2^63 - 1:
-            # the guard is even, so a lockstep odd step gives at most 2^63 - 4,
-            # and 2^63 - 1 is odd, so its next step leaves int64. A walk capped
-            # past the guard leaves its lane at 0 too: the cap check next
-            # retires it, or its tail row reads code 2.
+            # so that the cap check below sees no parked lane and no odd value
+            # past the guard. A value at or past ``block`` walks to the guard,
+            # since 8-step blocks take it down faster than rounds do. An odd
+            # step past the guard tops int64, so the row is big: a peak reaching
+            # 2^63 - 1 is kept in ``big_peaks`` and clipped to 2^63 - 1 in
+            # ``top``. No other row holds 2^63 - 1: the guard is even, so a
+            # lockstep odd step gives at most 2^63 - 4, and 2^63 - 1 is odd, so
+            # its next step leaves int64. A walk capped past the guard leaves its
+            # lane at 0 too: the cap check retires it, or its tail row reads
+            # code 2.
             if tail or capping and parked or int(cur.max()) > guard:
                 floor, walks, slots = 1 if tail else guard, [], []
                 hot = np.nonzero((cur > floor) & (tail | (cur & 1 == 1)))[0]
@@ -307,6 +288,20 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
                         taken + ahead, taken + halves, top, 2 * (cur != 1))
                     break
                 if walks:
+                    continue
+            # Near the cap, the walk site has left no lane parked and every odd
+            # lane at or below the guard. A lane with no step left, or with one
+            # left before an R, stops at the cap, with peak 3x + 1 in the second
+            # case; an even lane past the guard takes its last step in the round.
+            if capping:
+                left = max_steps - taken - ahead
+                done = (left == 0) | (left == 1) & (cur & 1 == 1)
+                if done.any():
+                    j = lane[done]
+                    s[j], lc[j], cd[j], pk[j] = max_steps, taken + halves[done], 2, np.maximum(
+                        top[done], 3 * np.where(left[done], cur[done], 0) + 1)
+                    lane, span, cur, top, halves, ahead = _keep(
+                        ~done, lane, span, cur, top, halves, ahead)
                     continue
             # One shortcut step, T(x) = x/2 or (3x + 1)/2 (Terras, 1976); the
             # peak candidate new << odd is 3x + 1 for an odd x, at most x else.

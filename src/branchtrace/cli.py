@@ -347,8 +347,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_digest(args) -> int:
-    try:
-        key = bytes.fromhex(args.key)
+    try:  # fromhex skips ASCII whitespace, so every character must be a digit it read
+        if 2 * len(key := bytes.fromhex(args.key)) != len(args.key):
+            raise ValueError
     except ValueError:
         raise DomainError("key must be 64 hexadecimal characters")
     dyncompose.init(key)  # refuses a key of the wrong length before the file is read

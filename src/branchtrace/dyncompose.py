@@ -52,7 +52,7 @@ def _drive(words, blocks, forced=None):
     when it is 0, g (R) when it is 1. Otherwise ``forced`` is an already
     validated L/R sequence consumed in order. Each round's updates are
     sequential; each line sees the ones above it. Returns the final
-    words and the symbols run.
+    words and the symbols run, as ASCII in a bytearray.
     """
     w0, w1, w2, w3 = words
     mask, constant = _MASK, G_CONSTANT
@@ -81,7 +81,7 @@ def _drive(words, blocks, forced=None):
                 w2 = (w2 + w3) & mask
                 x = w1 ^ w2
                 w1 = ((x << 29) & mask) | (x >> 35)
-    return (w0, w1, w2, w3), schedule.decode("ascii")
+    return (w0, w1, w2, w3), schedule
 
 
 def _bytes(data, name: str, error: type[DomainError] = DomainError) -> bytes:
@@ -119,7 +119,7 @@ def trace_length(message_len: int) -> int:
 def digest(key: bytes, message: bytes) -> tuple[bytes, str]:
     """32-byte keyed digest of the message plus its full branch trace."""
     words, schedule = _drive(init(key), _blocks(_bytes(message, "message")))
-    return _WORDS.pack(*words), schedule
+    return _WORDS.pack(*words), schedule.decode("ascii")
 
 
 def replay(key: bytes, message: bytes, trace: str) -> bytes:

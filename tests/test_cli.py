@@ -643,11 +643,14 @@ def test_digest_vectors_through_the_cli(tmp_path, capsys, digest_vectors):
         assert capsys.readouterr().out == f"{value}\n{schedule}\n"
 
 
-@pytest.mark.parametrize("key", ["0" * 63, "0" * 65, "zz" * 32, ""])
+# bytes.fromhex skips ASCII whitespace, so the last three would read as 32
+# bytes. Each key is refused before the (missing) file is read.
+@pytest.mark.parametrize("key", ["0" * 63, "0" * 65, "zz" * 32, "", " ".join(["00"] * 32),
+                                 "00" * 32 + "\n", "00" * 16 + "\t" + "00" * 16])
 def test_digest_rejects_bad_keys(tmp_path, key):
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
-    assert run("digest", "--key", key, "--in", empty).returncode == 2
+    proc = run("digest", "--key", key, "--in", tmp_path / "nope.bin")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: key must ")
 
 
 def test_digest_missing_input(tmp_path):

@@ -836,17 +836,14 @@ def test_survey_on_repeat_over_a_merged_window(monkeypatch, cap):
 
 
 def pre_retired(n, lo, cap):
-    """Whether the survey fills row n from its residue before the lockstep:
-    from n mod 4 for even n and n = 1 mod 4, and from the table at n mod 2^8
-    for n = 3 mod 4, whose descending classes all have q0 = 0 (see
-    test_descent_table_rows_match_trace), so that a row n = 3 mod 4 is
-    taken when its first descent has at most 8 halvings and fits the cap
-    and the range, and the sieve's gates hold."""
+    """Whether the survey fills row n > 1 from its residue before the
+    lockstep: from n mod 2 for even n, and from the table at n mod 2^8 for
+    odd n, whose descending classes all have q0 = 0 but s = 1, which keeps
+    out only n = 1 (see test_descent_table_rows_match_trace), so that an
+    odd row is taken when its first descent has at most 8 halvings and fits
+    the cap and the range, and the sieve's gates hold."""
     if n % 2 == 0:
         return n // 2 >= lo
-    guard = (_survey._INT64_MAX - 1) // 3
-    if n % 4 == 1:
-        return 1 < n <= guard and cap >= 3 and 3 * n + 1 >= 4 * lo
     steps, halvings, value, _ = first_descent(n)
     return (243 * n >= 256 * lo and n <= _survey._INT64_MAX // 80 and halvings <= 8
             and steps <= cap and value >= lo)
@@ -885,8 +882,9 @@ def spy_tail_starts(monkeypatch):
 def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi):
     # 2 lo, the least n with (3n + 1) / 4 >= lo and the least n with 243 n
     # >= 256 lo fall inside chunks, at several positions of a 7-row chunk as
-    # lo moves; chunk starts of 7 rows pass through every residue mod 4, and
-    # caps 5-7 through the sieve's cap gate (its fewest steps are 6). A 7-row
+    # lo moves; chunk starts of 7 rows pass through every residue mod 4, caps
+    # 2-4 through the sieve's cap gate (its fewest steps are 3, for n = 1 mod
+    # 4) and caps 5-7 past the fewest steps of n = 3 mod 4 (6). A 7-row
     # chunk hands all its lanes to the exact stepper before any round, so
     # they are exactly the rows that were not pre-retired; then its
     # pre-retired rows whose trajectory tops the cap step again from their
@@ -901,11 +899,14 @@ def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi)
         assert starts == stepped_rows(lo, hi, rule.max_steps)
 
 
-@pytest.mark.parametrize("guard", [2_000, 2_002])
+@pytest.mark.parametrize("guard", [50_054, 50_108])
 @pytest.mark.parametrize("chunk", [7, 256])
 def test_survey_guard_cuts_the_pre_retired_rows(monkeypatch, guard, chunk):
-    # Rows n = 1 mod 4 above the guard would top int64 at 3n + 1; they stay
-    # lanes and go on an excursion. The guard is even, as for real.
+    # The guard sets the word, 3 guard + 1, and so the sieve's cut, word //
+    # 80: 1,877 and 1,879, each a row the sieve takes, n = 1 and 3 mod 4.
+    # Odd rows of both classes past the cut stay lanes and step in the
+    # lockstep, where trajectories go on excursions past the guard. The
+    # guard is even, as for real.
     monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
     monkeypatch.setattr(_survey, "_CHUNK", chunk)
     starts = spy_tail_starts(monkeypatch)
@@ -938,21 +939,27 @@ def test_descent_table_rows_match_trace(monkeypatch, word):
         for q in (q0, q0 + 1, *([top] if top >= q0 else [])):
             assert first_descent((q << 8) + s) == (steps, first, c * q + t, a * q + b), (s, q)
             assert q > top or a * q + b < word, (s, q)
-    # The sieve's gates: every class n = 3 mod 4 that descends does so from
-    # q = 0, in at least 6 steps, to at most 243 q + t.
+    # The sieve's gates: every class n = 1 mod 4 descends to (3n + 1) / 4 in
+    # 3 steps and 2 halvings, and every class n = 3 mod 4 that descends does
+    # so in at least 6 steps, to at most 243 q + t. Of the odd classes only
+    # s = 1 has q0 > 0, which keeps out n = 1.
+    ones = [row for s, row in enumerate(table) if s % 4 == 1]
+    assert all(row[:3] == [2, 3, 192] and row[4] == 768 for row in ones)
     threes = [row for s, row in enumerate(table) if s % 4 == 3 and row[1]]
     assert len(threes) == 45 and {row[6] for row in threes} == {0}
     assert min(row[1] for row in threes) == 6 and max(row[2] for row in threes) == 243
+    assert [s for s, row in enumerate(table) if s % 2 and row[6]] == [1] and table[1][6] == 1
 
 
 @pytest.mark.parametrize("cap", [None, 13, 12])
 def test_survey_word_cuts_the_sieve(monkeypatch, cap):
     # With the word lowered to 2^19 - 1 the sieve stops at its cut, 6,553,
-    # inside the dense range [6,000, 7,000]: rows n = 3 mod 4 past the cut
-    # whose first descent would qualify step in the lockstep instead. With
-    # 7-row chunks every lane goes to the exact stepper, so the stepped rows
-    # are exactly the rows not pre-retired. Only the classes that descend to
-    # 243 q + t, in 13 steps, stay in this range, so cap 12 sieves no row.
+    # inside the dense range [6,000, 7,000]: odd rows past the cut whose
+    # first descent would qualify step in the lockstep instead. With 7-row
+    # chunks every lane goes to the exact stepper, so the stepped rows are
+    # exactly the rows not pre-retired. Only the classes that descend to 243
+    # q + t, in 13 steps, stay in this range (n = 1 mod 4 lands at (3n + 1) /
+    # 4, below it), so cap 12 sieves no row.
     word, lo, hi = (1 << 19) - 1, 6_000, 7_000
     monkeypatch.setattr(_survey, "_INT64_MAX", word)
     monkeypatch.setattr(_survey, "_CHUNK", 7)
@@ -963,8 +970,8 @@ def test_survey_word_cuts_the_sieve(monkeypatch, cap):
     assert_big_placeholders(result, word)
     assert_descent_certificates(result)
     assert starts == stepped_rows(lo, hi, rule.max_steps)
-    sieved = [n for n in range(lo, hi + 1) if n % 4 == 3 and pre_retired(n, lo, rule.max_steps)]
-    cut = [n for n in range(word // 80 + 1, hi + 1) if n % 4 == 3
+    sieved = [n for n in range(lo, hi + 1) if n % 2 and pre_retired(n, lo, rule.max_steps)]
+    cut = [n for n in range(word // 80 + 1, hi + 1) if n % 2
            and (d := first_descent(n))[1] <= 8 and d[0] <= rule.max_steps and d[2] >= lo]
     assert bool(sieved) == bool(cut) == (rule.max_steps >= 13)
     assert all(n <= word // 80 for n in sieved)

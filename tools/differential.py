@@ -14,16 +14,17 @@ in a child interpreter per tree, with ``PYTHONPATH`` set to that tree's
 both fingerprints; the exit status is 1 if any case differs, 2 if a
 tree cannot be exported or run, and 0 if every case is bit-identical.
 
-The full set is 713 cases over the survey kernel's boundaries: the
+The full set is 749 cases over the survey kernel's boundaries: the
 seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, windows
 across 2^62, across and at 2^63 - 1 (the last input int64 holds) and
 wholly past it up to 2^200, windows whose lanes park past the int64 step
 guard when the cap arrives, windows across the walk's block threshold
 (about 2^69.4), dense ranges, chunk edges, caps that fall between the
 R and the L of a shortcut step, and the edges of the survey's mod 2^8
-sieve: caps 5-7, ranges that end just before and at the first row its
-243 n >= 256 lo gate admits, and a range across its cut at
-(2^63 - 1) // 80. ``--quick`` runs a seconds-long subset of 34.
+sieve: caps 2-7, ranges that end just before and at the first row its
+243 n >= 256 lo gate admits, ranges where both odd classes start in it
+within their first 4096 rows, and a range across its cut at
+(2^63 - 1) // 80. ``--quick`` runs a seconds-long subset of 35.
 
 ``--cli`` checks the command line instead: each case is one argv that
 each tree's child runs through ``cli.main`` in a working directory of
@@ -31,15 +32,15 @@ its own, holding the same input files. Its fingerprint is the sha256 of
 the exit code, stdout, stderr and each ``--out``/``--pbm``/``--center``
 file (or its absence), shown after the exit code; under a case that
 differs, each tree's exit code and last stderr line follow. The full
-set of 143 cases covers survey and bound across 2^62, 2^63 - 1 and
+set of 145 cases covers survey and bound across 2^62, 2^63 - 1 and
 2^64 in CSV and JSON, ranges where a field's width changes inside one
 block of rows, rule 30 images and center columns in both modes, every ``test``
 statistic, ``digest`` of the empty message, of 1 MiB and at the block
 edges (31, 32 and 33 bytes: 0x80 closes a block, starts a block of
-padding alone, or follows one byte over), ``trace`` and
-``invert`` at 2^200, ``--help``, zero steps, usage errors, values the
-library refuses, and unreadable, non-0/1 or non-ASCII input (exit 2) and
-an unwritable output (exit 3). ``--quick`` runs a subset of 18.
+padding alone, or follows one byte over), keys holding whitespace,
+``trace`` and ``invert`` at 2^200, ``--help``, zero steps, usage errors,
+values the library refuses, and unreadable, non-0/1 or non-ASCII input
+(exit 2) and an unwritable output (exit 3). ``--quick`` runs a subset of 18.
 
 ``--scale SECONDS`` runs seeded draws of the survey kernel's scale model,
 ``scale_model`` in ``tests/test_collatz.py`` (loaded by path, so there is
@@ -212,6 +213,7 @@ _PAST_INT64 = [((1 << 62) - 300, (1 << 62) + 300), (_INT64_MAX - 300, _INT64_MAX
 
 
 _MULTI_CHUNK = ((1001, 3 * 2**17 + 5000), (200003, 200002 + 3 * 2**17))
+_SIEVE_STARTS = ((3001, 7096), (9002, 13097), (12283, 16378))
 
 
 def full_cases() -> list[tuple]:
@@ -246,12 +248,16 @@ def full_cases() -> list[tuple]:
     cases += [_case(1 << e, (1 << e) + 4095, "one", cap)
               for e in (69, 70) for cap in (UNCAPPED, 100)]
     cases += [_case(lo, hi, "repeat", cap) for lo, hi in parking[::2] for cap in (UNCAPPED, 100)]
-    # The survey's mod 2^8 sieve takes rows n = 3 mod 4 with 243 n >= 256 lo. For
-    # lo = 100039 the first such row, 105391, descends into the range at step 8
-    # (T^8(n) = 243 q + t); one range ends just before it, one at it. Caps 5-7
-    # sit at its cap gate: its fewest steps are 6.
+    # The survey's mod 2^8 sieve takes odd rows with 243 n >= 256 lo. For lo =
+    # 100039 the first row n = 3 mod 4 it takes, 105391, descends into the
+    # range at step 8 (T^8(n) = 243 q + t); one range ends just before it, one
+    # at it. Caps 2-4 sit at its cap gate (its fewest steps are 3, for n = 1
+    # mod 4), and caps 5-7 at the fewest steps of n = 3 mod 4 (6).
     cases += _both_modes([(100039, 105390), (100039, 105391)], (7, UNCAPPED))
-    cases += _both_modes([(1, 70000), (30001, 100000)], (5, 6, 7))
+    cases += _both_modes([(1, 70000), (30001, 100000)], (2, 3, 4, 5, 6, 7))
+    # Ranges whose first row with (3n + 1) / 4 >= lo and first row with 243 n
+    # >= 256 lo both fall in their first 4096 rows.
+    cases += _both_modes(_SIEVE_STARTS, (2, 3, 4, UNCAPPED))
     # At this word the ratio gate closes long before the sieve's word cut: no
     # range of RANGE_CAP inputs spans the 5% it would take. The scale model's
     # words (--scale) cross the cut with the sieve on.
@@ -282,8 +288,9 @@ def quick_cases() -> list[tuple]:
               _case(1 << 64, (1 << 64) + 4095, "one", UNCAPPED)]
     # Lanes parked past the guard when the cap arrives.
     cases.append(_case(1 << 64, (1 << 64) + 4095, "one", 40))
-    # A range whose last row is the first the mod 2^8 sieve may take.
-    cases.append(_case(100039, 105391, "one", UNCAPPED))
+    # A range whose last row is the first the mod 2^8 sieve may take, and one
+    # where both odd classes start in the sieve, at the cap gate.
+    cases += [_case(100039, 105391, "one", UNCAPPED), _case(*_SIEVE_STARTS[1], "one", 3)]
     return cases
 
 
@@ -347,6 +354,9 @@ def cli_cases() -> list[tuple]:
                   for key in (_ZERO_KEY, "0123456789abcdef" * 4)
                   for flag in ((), ("--emit-trace",))]
     cases += [_cli_case("digest", "--key", key, "--in", "empty.bin") for key in ("zz", "00" * 31)]
+    # bytes.fromhex skips ASCII whitespace; a key holding any is refused.
+    cases += [_cli_case("digest", "--key", key, "--in", "empty.bin")
+              for key in (" ".join(["00"] * 32), "00" * 16 + "\t" + "00" * 16)]
     # The key is refused before the file is read.
     cases += [_cli_case("digest", "--key", key, "--in", "no-such-file.bin")
               for key in (_ZERO_KEY, "00" * 31)]
