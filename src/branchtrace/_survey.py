@@ -6,10 +6,13 @@ lockstep that each chunk of rows runs twice. Before it, a sieve on n
 mod 2^8 fills the rows whose first descent the residue fixes: the low K
 bits of n fix its first K shortcut steps (R. Terras, Acta Arith. 30,
 1976), and verification runs sieve residue classes the same way (T.
-Oliveira e Silva, Math. Comp. 68, 1999). Even n come from a strided
-slice, and odd n from one gather over the table _DESCENT, built from the
-exact walker's block table: every class n = 1 mod 4 descends in 3 steps,
-and 45 of the 64 classes n = 3 mod 4 within 8. In the first pass a row
+Oliveira e Silva, Math. Comp. 68, 1999). The table _DESCENT, built
+from the exact walker's block table, holds each residue's first descent,
+and one broadcast writes it down a grid of the chunk's whole q-rows, n =
+2^8 q + s for q >= 1 and every s: every even n descends in 1 step, every
+n = 1 mod 4 in 3, and 45 of the 64 classes n = 3 mod 4 within 8. Lanes
+start from their inputs, and every way out of the lockstep writes all
+of a row's columns, so the grid may fill any row. In the first pass a row
 steps until it falls to a row of the range, meets another lane at one
 value, reaches 1 or hits the step cap; its totals then add up along
 these links. In the second, the rows whose linked total tops the cap
@@ -31,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .collatz import (RANGE_CAP, StopMode, StopRule, TraceSummary, _K, _MASK, _REASON_CODES, _TAB,
+from .collatz import (RANGE_CAP, StopMode, StopRule, TraceSummary, _K, _REASON_CODES, _TAB,
                       _exact, _walk)
 from .errors import DomainError, ResourceError, require_int, require_member
 
@@ -51,27 +54,22 @@ def _descents() -> np.ndarray:
     of s (Terras, 1976), and each of its values is C q + t, with C and t
     following the branches from 2^K and s. Columns, one per residue s: the
     shortcut step i at which T^i(n) < n first, the steps i + a (a of them
-    odd), C and t with T^i(n) = C q + t, A and B with A q + B the peak (the
-    3x + 1 of largest A, which tops the rest once q is large, as for
-    ``_TAB``), and q0, the least q from which all of this holds: each
-    condition is linear in q. A residue whose block never descends reads
-    zeros, so T^i(n) reads 0, below every range.
+    odd), C and t with T^i(n) = C q + t, and A and B with A q + B the peak
+    (the 3x + 1 of largest A, which tops the rest once q is large, as for
+    ``_TAB``). All of this holds from q = 1 on: each condition is linear in
+    q, and the tests check it at q = 1 and at the largest q the survey
+    sieves. A residue whose block never descends reads zeros.
     """
     rows, side = [], 1 << _K
     for s, (text, *_) in enumerate(_TAB):
-        c, t, i, least, peaks = side, s, 0, 0, [(side, s)]
-        rows.append((0,) * 7)
+        c, t, i, peaks = side, s, 0, [(side, s)]
+        rows.append((0,) * 6)
         for steps, sym in enumerate(text, 1):
             c, t, i = (3 * c, 3 * t + 1, i) if sym == "R" else (c >> 1, t >> 1, i + 1)
             if sym == "R":
                 peaks.append((c, t))
-            elif c > side:  # no descent yet: T^i(n) >= n from q >= (s - t) / (c - 2^K)
-                least = max(least, -((t - s) // (c - side)))
-            else:
-                a, b = max(peaks)
-                least = max(least, (t - s) // (side - c) + 1,
-                            *(-((b - y) // (a - x)) for x, y in peaks if x < a))
-                rows[s] = (i, steps, c, t, a, b, least)
+            elif c < side:
+                rows[s] = (i, steps, c, t, *max(peaks))
                 break
     return np.array(rows, dtype=np.int64).T
 
@@ -155,6 +153,7 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     """
     size, first = stop - base, lo + base
     low = min(lo, _INT64_MAX)  # lo in int64 arithmetic; no lane past int64 descends
+    least = min(first, _INT64_MAX)  # the chunk's first input, clipped to int64
     guard = (_INT64_MAX - 1) // 3  # the largest value whose odd step 3n + 1 fits int64
     s, lc, pk, cd = (a[base:stop] for a in (steps, l_count, peaks, codes))
     # Offset of each row's descent target or leader; negative for none.
@@ -162,46 +161,43 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
     # Rows whose first descent their residue fixes never become lanes: the low
     # K bits of n fix its first K shortcut steps (Terras, 1976), so a table
     # over n mod 2^K sieves the rows, as verification runs sieve residue
-    # classes mod 2^k (T. Oliveira e Silva, Math. Comp. 68, 1999). A strided
-    # slice takes the even n, which need no table: the target is n/2 (1 step,
-    # 1 halving, peak n) for n >= 2 lo. An even n past int64 reads 2^63 - 1
-    # (see survey), so no range may hold both it and n/2; no range of
-    # RANGE_CAP inputs can.
-    # Then one gather over the odd rows reads _DESCENT at n mod 2^8 (the 64
-    # classes n = 1 mod 4 descend to (3n + 1)/4 in 3 steps, and 45 of the 64
-    # classes n = 3 mod 4 within 8) and retires each row with q >= q0 whose
-    # i + a steps fit the cap and whose T^i(n) is at least lo. Only s = 1 has
-    # q0 > 0: n = 1 never descends. It writes what the lockstep's descent
-    # check would: i + a steps, i halvings, peak A q + B and target T^i(n).
-    # No round before i retires the lane, since its values are at least n,
-    # merges start at round _MERGE_EVERY (32) and no value passes the guard,
-    # since the peak fits the word.
-    # The gather runs only where it can pay: at a cap of at least 3, the
-    # fewest steps of such a descent (n = 1 mod 4), and for 243 n >= 256 lo,
-    # since T^i(n) is about C n / 2^8 with C at most 3^5. It also needs
-    # n <= _INT64_MAX // 80, so that A q + B fits the word (A < 16 * 2^8);
-    # the word is read here, so a smaller one (see the tests) cuts it too.
-    n = max(2 * lo, first)
-    even = slice(n + (n & 1) - first, size, 2)
-    s[even], lc[even], target[even] = 1, 1, (pk[even] >> 1) - low
-    n = max(first, -(-256 * lo // 243))
-    sieve = slice(min(size, (n | 1) - first),
-                  max(0, min(size, _INT64_MAX // 80 + 1 - first)) if max_steps >= 3 else 0, 2)
-    at, total, mul, add, rise, shift, least = _DESCENT  # i, i + a, C, t, A, B, q0
-    key, q = pk[sieve] & _MASK, pk[sieve] >> _K
-    value = mul[key] * q + add[key] - low
-    hit = np.nonzero((q >= np.where(total > max_steps, 1 << 62, least)[key]) & (value >= 0))[0]
-    # s[sieve] is a view, so s[sieve][hit] writes the rows hit; the peaks go
-    # in a statement of their own, so that fewer temporaries live at once.
-    key, q, value = key[hit], q[hit], value[hit]
-    s[sieve][hit], lc[sieve][hit], target[sieve][hit] = total[key], at[key], value
-    pk[sieve][hit] = rise[key] * q + shift[key]
+    # classes mod 2^k (T. Oliveira e Silva, Math. Comp. 68, 1999). The sieve
+    # is one grid: the chunk's whole q-rows, n = 2^8 q + s for every s, viewed
+    # as a (rows, 2^8) block of each column, down which each residue's row of
+    # _DESCENT is broadcast. It writes what the lockstep's descent check
+    # would: i + a steps, i halvings, peak A q + B and target T^i(n) - lo, all
+    # exact from q = 1 on. No round before i retires such a lane, since its
+    # values are at least n, merges start at round _MERGE_EVERY (32) and no
+    # value passes the guard, since the peak fits the word. A residue whose
+    # i + a steps top the cap reads zeros, as does one that never descends,
+    # so its target reads -lo; that row, like one whose T^i(n) is below lo,
+    # keeps a negative target and stays a lane. The grid starts where it can
+    # pay, at 243 q >= lo, since T^i(n) is about C q with C at most 3^5, and
+    # ends at n <= _INT64_MAX // 80, so that A q + B fits the word (A < 16 *
+    # 2^8); the word is read here, so a smaller one (see the tests) cuts it
+    # too.
+    end = min(first + size, _INT64_MAX // 80 + 1) >> _K
+    head = min(max(-(-first >> _K), -(-lo // 243), 1), end)
+    q = np.arange(head, end, dtype=np.int64)[:, None]
+    whole = slice((head << _K) - first, (end << _K) - first)
+    at, total, mul, add, rise, shift = _DESCENT * (_DESCENT[1] <= max_steps)
+    grid = [column[whole].reshape(-1, 1 << _K) for column in (s, lc, pk, target)]
+    grid[0][:], grid[1][:] = total, at
+    for column, factor, offset in zip(grid[2:], (rise, mul), (shift, add - low)):
+        np.multiply(factor, q, out=column)  # in place: no temporary of the grid's size
+        column += offset
 
-    def lockstep(lane, cur, span, merge):
-        """Step the rows ``lane`` (offsets into the chunk, ascending) from the
-        values ``cur`` until each retires: at a value v with v - lo < ``span``,
-        compared unsigned, or at 1, at the cap, or, when ``merge`` is set,
-        as a follower of a lane at the same value."""
+    def lockstep(lane, merge):
+        """Step the rows ``lane`` (offsets into the chunk, ascending) from their
+        inputs, clipped to int64 as in survey, until each retires: at 1, at
+        the cap, or, when ``merge`` is set (the first pass), as a follower of
+        a lane at the same value or at a value v with lo <= v < its input."""
+        cur = np.minimum(lane, _INT64_MAX - least) + least
+        # lo <= cur < start  <=>  (cur - lo) < (start - lo), compared unsigned;
+        # the second pass has no descent (span 0, or 1 for lo = 1, so that only
+        # arrival at 1 retires a lane).
+        span = ((cur - low).view(np.uint64) if merge else
+                np.full(lane.size, lo == 1, dtype=np.uint64))
         top = cur.copy()
         # Each lane's steps and halvings beyond the round count ``taken``; a
         # round is one shortcut step, so one halving.
@@ -371,9 +367,11 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
                     np.nonzero(kept)[0], lane, span, cur, top, halves, ahead)
             checked = lane.size
 
-    lane = np.nonzero((target < 0) & (pk != 1))[0]
-    # lo <= cur < start  <=>  (cur - lo) < (start - lo), compared unsigned.
-    lockstep(lane, pk[lane], (pk[lane] - low).view(np.uint64), True)
+    # Every row with a negative target but n = 1 is a lane. The grid may have
+    # written a lane's peak, steps and halvings, so lanes start from their
+    # inputs, not from ``pk``, and every way out of the lockstep writes all
+    # four of a row's columns.
+    lockstep(np.nonzero((target < 0) & (pk != 1))[0], True)
 
     # Rows are ranked in row order, _RANK at a time, by pointer jumping
     # (Wyllie's list ranking): each round adds every row's target's totals to
@@ -403,19 +401,16 @@ def _survey_chunk(lo: int, base: int, stop: int, max_steps: int, steps: np.ndarr
             live = live[link[live] >= 0]
 
     # A row chained to a capped one, or whose total tops the cap, steps again
-    # from its own input (clipped to int64, as in survey), with no descent
-    # (span 0, or 1 for lo = 1, so that only arrival at 1 retires a lane) and
-    # no merges. Its stop code is reset first, since a follower of a capped
-    # leader can still reach 1 within the cap, and so is the big_peaks entry
-    # of a row reading 2^63 - 1: it holds the chain's largest peak, which can
-    # top the capped prefix's, and settle keeps the max.
+    # from its own input, with no descent and no merges. Its stop code is
+    # reset first, since a follower of a capped leader can still reach 1
+    # within the cap, and so is the big_peaks entry of a row reading 2^63 -
+    # 1: it holds the chain's largest peak, which can top the capped
+    # prefix's, and settle keeps the max.
     redo = np.nonzero((target >= 0) & ((cd != 0) | (s > max_steps)))[0]
     for row in (base + redo[pk[redo] == _INT64_MAX]).tolist():
         del big_peaks[row]
     cd[redo] = 0
-    least = min(first, _INT64_MAX)
-    lockstep(redo, np.minimum(redo, _INT64_MAX - least) + least,
-             np.full(redo.size, lo == 1, dtype=np.uint64), False)
+    lockstep(redo, False)
 
 
 def _repeat_rows(lo: int, max_steps: int, steps: np.ndarray, codes: np.ndarray) -> list[int]:

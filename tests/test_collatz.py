@@ -835,30 +835,47 @@ def test_survey_on_repeat_over_a_merged_window(monkeypatch, cap):
 # ------------------------------------------ rows the residue mod 2^8 retires
 
 
-def pre_retired(n, lo, cap):
-    """Whether the survey fills row n > 1 from its residue before the
-    lockstep: from n mod 2 for even n, and from the table at n mod 2^8 for
-    odd n, whose descending classes all have q0 = 0 but s = 1, which keeps
-    out only n = 1 (see test_descent_table_rows_match_trace), so that an
-    odd row is taken when its first descent has at most 8 halvings and fits
-    the cap and the range, and the sieve's gates hold."""
-    if n % 2 == 0:
-        return n // 2 >= lo
+def pre_retired(n, lo, cap, first, end):
+    """Whether the survey fills row n > 1 of its chunk of inputs [first,
+    end) from its residue before the lockstep. The grid holds the chunk's
+    whole q-rows, n = 2^8 q + s with q >= 1, from the first q-row whose
+    first n, 2^8 q, has 243 n >= 256 lo, up to the last whose last n, 2^8 q
+    + 255, is at most word // 80. Its table holds each residue's first
+    descent within 8 halvings, exact from q = 1 on (see
+    test_descent_table_rows_match_trace), and the row is taken when that
+    descent fits the cap and lands at lo or above."""
+    q = n >> 8
+    if not (q and first <= q << 8 and (q + 1) << 8 <= end and 243 * q >= lo
+            and (q << 8) + 255 <= _survey._INT64_MAX // 80):
+        return False
     steps, halvings, value, _ = first_descent(n)
-    return (243 * n >= 256 * lo and n <= _survey._INT64_MAX // 80 and halvings <= 8
-            and steps <= cap and value >= lo)
+    return halvings <= 8 and steps <= cap and value >= lo
 
 
-def stepped_rows(lo, hi, cap):
-    """The rows a survey in 7-row chunks hands to the exact stepper, in
-    order: in each chunk the rows not pre-retired, then the pre-retired rows
-    whose trajectory tops the cap, which step again from their inputs."""
+def stepped_rows(lo, hi, cap, chunk):
+    """The rows a survey in chunks of ``chunk`` rows, with a tail at least as
+    long, hands to the exact stepper, in order: in each chunk the rows not
+    pre-retired, then the pre-retired rows whose trajectory tops the cap,
+    which step again from their inputs."""
     want = []
-    for first in range(lo, hi + 1, 7):
-        rows = range(max(first, 2), min(first + 7, hi + 1))
-        want += [n for n in rows if not pre_retired(n, lo, cap)]
-        want += [n for n in rows if pre_retired(n, lo, cap) and collatz.trace(n).steps > cap]
+    for first in range(lo, hi + 1, chunk):
+        end = min(first + chunk, hi + 1)
+        rows = [(n, pre_retired(n, lo, cap, first, end)) for n in range(max(first, 2), end)]
+        want += [n for n, retired in rows if not retired]
+        want += [n for n, retired in rows if retired and collatz.trace(n).steps > cap]
     return want
+
+
+def assert_stepped_rows(monkeypatch, lo, hi, rule, chunk):
+    """With a tail at least as long as the chunk, each chunk hands all its
+    lanes to the exact stepper before any round, so they are exactly the
+    rows that were not pre-retired; then its pre-retired rows whose
+    trajectory tops the cap step again from their inputs, in the tail too."""
+    monkeypatch.setattr(_survey, "_CHUNK", chunk)
+    monkeypatch.setattr(_survey, "_TAIL", max(chunk, _survey._TAIL))
+    starts = spy_tail_starts(monkeypatch)
+    collatz.survey(lo, hi, rule)
+    assert starts == stepped_rows(lo, hi, rule.max_steps, chunk)
 
 
 def spy_tail_starts(monkeypatch):
@@ -876,105 +893,131 @@ def spy_tail_starts(monkeypatch):
     return starts
 
 
-@pytest.mark.parametrize("chunk", [7, 256])
+@pytest.mark.parametrize("chunk", [7, 256, 512, 768])
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6, 7, None])
-@pytest.mark.parametrize("lo, hi", [(1, 300), (150, 420), (151, 420), (152, 700), (153, 420)])
+@pytest.mark.parametrize("lo, hi", [(1, 300), (150, 420), (151, 420), (152, 700), (153, 420),
+                                    (256, 1100), (385, 1300), (1000, 2300)])
 def test_survey_pre_retired_rows_at_chunk_edges(monkeypatch, chunk, cap, lo, hi):
-    # 2 lo, the least n with (3n + 1) / 4 >= lo and the least n with 243 n
-    # >= 256 lo fall inside chunks, at several positions of a 7-row chunk as
-    # lo moves; chunk starts of 7 rows pass through every residue mod 4, caps
-    # 2-4 through the sieve's cap gate (its fewest steps are 3, for n = 1 mod
-    # 4) and caps 5-7 past the fewest steps of n = 3 mod 4 (6). A 7-row
-    # chunk hands all its lanes to the exact stepper before any round, so
-    # they are exactly the rows that were not pre-retired; then its
-    # pre-retired rows whose trajectory tops the cap step again from their
-    # inputs, in the tail too.
+    # The grid takes a chunk's whole q-rows (2^8 rows), so 7-row chunks sieve
+    # nothing, and 256-row chunks sieve only for lo = 0 mod 2^8. 512- and
+    # 768-row chunks hold whole q-rows with q-row edges inside them, at
+    # several offsets as lo moves (lo = 0 and 129 mod 2^8 among them), and
+    # the grid's first q-row, from 243 q >= lo, falls inside a chunk for lo
+    # = 1000. There T^i(n) straddles lo inside a q-row: the rows of a class
+    # below it stay lanes. Caps 1-7 pass the fewest steps of the even rows
+    # (1), of n = 1 mod 4 (3) and of n = 3 mod 4 (6); a class whose steps
+    # top the cap stays a lane too.
     monkeypatch.setattr(_survey, "_CHUNK", chunk)
-    starts = spy_tail_starts(monkeypatch)
     rule = collatz.StopRule.at_one(*([cap] if cap else []))
     result = collatz.survey(lo, hi, rule)
     assert_rows_exact(result, range(len(result)))
     assert_descent_certificates(result)
-    if chunk == 7:
-        assert starts == stepped_rows(lo, hi, rule.max_steps)
+    assert_stepped_rows(monkeypatch, lo, hi, rule, chunk)
 
 
-@pytest.mark.parametrize("guard", [50_054, 50_108])
-@pytest.mark.parametrize("chunk", [7, 256])
+@pytest.mark.parametrize("guard", [50_054, 50_108, 54_560, 54_588])
+@pytest.mark.parametrize("chunk", [7, 256, 512, 768])
 def test_survey_guard_cuts_the_pre_retired_rows(monkeypatch, guard, chunk):
-    # The guard sets the word, 3 guard + 1, and so the sieve's cut, word //
-    # 80: 1,877 and 1,879, each a row the sieve takes, n = 1 and 3 mod 4.
-    # Odd rows of both classes past the cut stay lanes and step in the
+    # The guard sets the word, 3 guard + 1, and so the grid's cut, word //
+    # 80: 1,877, 1,879, 2,046 and 2,047. The grid starts at q-row 6 (243 q
+    # >= 1,400), [1,536, 1,791], which 512- and 768-row chunks hold whole,
+    # and only the cut at 2,047 lets a 768-row chunk take q-row 7, [1,792,
+    # 2,047], as well. Rows past the cut stay lanes and step in the
     # lockstep, where trajectories go on excursions past the guard. The
     # guard is even, as for real.
     monkeypatch.setattr(_survey, "_INT64_MAX", 3 * guard + 1)
     monkeypatch.setattr(_survey, "_CHUNK", chunk)
-    starts = spy_tail_starts(monkeypatch)
     result = collatz.survey(1400, 2600)
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result, 3 * guard + 1)
     assert_descent_certificates(result)
-    if chunk == 7:
-        assert starts == stepped_rows(1400, 2600, collatz.DEFAULT_MAX_STEPS)
+    assert_stepped_rows(monkeypatch, 1400, 2600, result.rule, chunk)
+    cap, last = result.rule.max_steps, min(1400 + chunk, 2601)
+    sieved = [n for n in range(1400, 2601) if pre_retired(n, 1400, cap, 1400, last)]
+    assert bool(sieved) == (chunk >= 512)
+    assert (max(sieved, default=0) >= 1792) == (chunk == 768 and guard == 54_588)
 
 
 @pytest.mark.parametrize("word", [None, (1 << 19) - 1])
 def test_descent_table_rows_match_trace(monkeypatch, word):
-    # Each row of the sieve's table against trace() of n = 2^8 q + s at q0,
-    # q0 + 1 and the largest q that the word's cut, word // 80, lets the
-    # sieve take, where the peak must also fit the word; a residue that
-    # reads zeros does not descend within 8 shortcut steps. The shortcut
-    # step i of the first descent is its count of halvings. The word moves
-    # only the cut; 2^19 - 1 is one of the scale model's words.
+    # Each row of the sieve's table against trace() of n = 2^8 q + s at q = 1,
+    # q = 2 and the largest q whose q-row the grid takes below the word's
+    # cut, word // 80, where the peak must also fit the word. Each condition
+    # the row rests on (the values before T^i(n) at least n, T^i(n) below
+    # it, A q + B the largest 3x + 1) is linear in q, so agreement at q = 1
+    # and at the cut holds for every q between: the grid needs no least q. A
+    # residue that reads zeros does not descend within 8 shortcut steps. The
+    # shortcut step i of the first descent is its count of halvings. The
+    # word moves only the cut; 2^19 - 1 is one of the scale model's words.
     if word:
         monkeypatch.setattr(_survey, "_INT64_MAX", word)
     word = _survey._INT64_MAX
     table = _survey._DESCENT.T.tolist()
-    assert len(table) == 256
-    for s, (first, steps, c, t, a, b, q0) in enumerate(table):
-        top = (word // 80 - s) >> 8
+    assert len(table) == 256 and {len(row) for row in table} == {6}
+    top = ((word // 80 + 1) >> 8) - 1
+    for s, row in enumerate(table):
+        first, steps, c, t, a, b = row
         if not steps:
-            assert first_descent((1 << 40) + s)[1] > 8, s
+            assert row == [0] * 6 and first_descent((1 << 40) + s)[1] > 8, s
             continue
-        for q in (q0, q0 + 1, *([top] if top >= q0 else [])):
+        for q in (1, 2, top):
             assert first_descent((q << 8) + s) == (steps, first, c * q + t, a * q + b), (s, q)
-            assert q > top or a * q + b < word, (s, q)
-    # The sieve's gates: every class n = 1 mod 4 descends to (3n + 1) / 4 in
-    # 3 steps and 2 halvings, and every class n = 3 mod 4 that descends does
-    # so in at least 6 steps, to at most 243 q + t. Of the odd classes only
-    # s = 1 has q0 > 0, which keeps out n = 1.
+            assert a * q + b < word, (s, q)
+    # The grid's gates: every even n descends to n / 2 in 1 step, every class
+    # n = 1 mod 4 to (3n + 1) / 4 in 3 steps and 2 halvings, and every class
+    # n = 3 mod 4 that descends does so in at least 6 steps; T^i(n) is at
+    # most 243 q + t, and A < 16 * 2^8, so A q + B fits the word up to its
+    # cut.
+    assert all(row == [1, 1, 128, s >> 1, 256, s] for s, row in enumerate(table) if s % 2 == 0)
     ones = [row for s, row in enumerate(table) if s % 4 == 1]
     assert all(row[:3] == [2, 3, 192] and row[4] == 768 for row in ones)
     threes = [row for s, row in enumerate(table) if s % 4 == 3 and row[1]]
-    assert len(threes) == 45 and {row[6] for row in threes} == {0}
-    assert min(row[1] for row in threes) == 6 and max(row[2] for row in threes) == 243
-    assert [s for s, row in enumerate(table) if s % 2 and row[6]] == [1] and table[1][6] == 1
+    assert len(threes) == 45 and min(row[1] for row in threes) == 6
+    assert max(row[2] for row in table) == 243 and max(row[4] for row in table) < 16 << 8
 
 
 @pytest.mark.parametrize("cap", [None, 13, 12])
 def test_survey_word_cuts_the_sieve(monkeypatch, cap):
-    # With the word lowered to 2^19 - 1 the sieve stops at its cut, 6,553,
-    # inside the dense range [6,000, 7,000]: odd rows past the cut whose
-    # first descent would qualify step in the lockstep instead. With 7-row
-    # chunks every lane goes to the exact stepper, so the stepped rows are
-    # exactly the rows not pre-retired. Only the classes that descend to 243
-    # q + t, in 13 steps, stay in this range (n = 1 mod 4 lands at (3n + 1) /
-    # 4, below it), so cap 12 sieves no row.
-    word, lo, hi = (1 << 19) - 1, 6_000, 7_000
+    # With the word lowered to 2^19 - 1 the grid stops at its cut, 6,553,
+    # inside the dense range [5,830, 6,900]. It starts at q-row 24, [6,144,
+    # 6,399] (243 q >= 5,830), which both chunk sizes hold whole; a 1024-row
+    # chunk, [5,830, 6,853], holds q-row 25, [6,400, 6,655], whole too, but
+    # the cut crosses it, so its rows whose first descent would qualify
+    # step in the lockstep instead. Only the classes that descend to 243 q +
+    # t, in 13 steps, land in this range from rows of the grid or past the
+    # cut (216 q + t needs q >= 27, and the rest land lower), so cap 12
+    # sieves no row.
+    word, lo, hi = (1 << 19) - 1, 5_830, 6_900
     monkeypatch.setattr(_survey, "_INT64_MAX", word)
-    monkeypatch.setattr(_survey, "_CHUNK", 7)
-    starts = spy_tail_starts(monkeypatch)
     rule = collatz.StopRule.at_one(*([cap] if cap else []))
-    result = collatz.survey(lo, hi, rule)
-    assert_rows_exact(result, range(len(result)))
-    assert_big_placeholders(result, word)
-    assert_descent_certificates(result)
-    assert starts == stepped_rows(lo, hi, rule.max_steps)
-    sieved = [n for n in range(lo, hi + 1) if n % 2 and pre_retired(n, lo, rule.max_steps)]
-    cut = [n for n in range(word // 80 + 1, hi + 1) if n % 2
-           and (d := first_descent(n))[1] <= 8 and d[0] <= rule.max_steps and d[2] >= lo]
-    assert bool(sieved) == bool(cut) == (rule.max_steps >= 13)
-    assert all(n <= word // 80 for n in sieved)
+    for chunk in (768, 1024):
+        monkeypatch.setattr(_survey, "_CHUNK", chunk)
+        result = collatz.survey(lo, hi, rule)
+        assert_rows_exact(result, range(len(result)))
+        assert_big_placeholders(result, word)
+        assert_descent_certificates(result)
+        assert_stepped_rows(monkeypatch, lo, hi, rule, chunk)
+        sieved = [n for n in range(lo, hi + 1)
+                  if pre_retired(n, lo, rule.max_steps, lo, min(lo + chunk, hi + 1))]
+        cut = [n for n in range(word // 80 + 1, hi + 1) if n % 2
+               and (d := first_descent(n))[1] <= 8 and d[0] <= rule.max_steps and d[2] >= lo]
+        assert bool(sieved) == bool(cut) == (rule.max_steps >= 13)
+        assert all(6_144 <= n <= 6_399 for n in sieved)
+
+
+@pytest.mark.parametrize("word, lo, hi", [((1 << 11) - 1, 700, 2100), ((1 << 13) - 1, 3000, 8500)])
+@pytest.mark.parametrize("chunk", [64, 512, 1 << 16])
+def test_survey_ranges_hold_n_and_2n_past_the_word(monkeypatch, word, lo, hi, chunk):
+    # An input past the word reads the word in ``peaks``, as 2^63 - 1 does at
+    # the real word, and its lane starts from its exact input. The grid
+    # stops at word // 80 and reads no input, so a range may hold both n and
+    # 2n past the word: its lane descends to n, and n's row is exact.
+    monkeypatch.setattr(_survey, "_INT64_MAX", word)
+    monkeypatch.setattr(_survey, "_CHUNK", chunk)
+    for rule in (collatz.StopRule.at_one(), collatz.StopRule.on_repeat()):
+        result = collatz.survey(lo, hi, rule)
+        assert_rows_exact(result, range(len(result)))
+        assert_big_placeholders(result, word)
 
 
 def test_survey_merge_rounds_on_dense_ranges_and_windows(monkeypatch):
@@ -1171,8 +1214,10 @@ def scale_model(seed):
     input past the word is an odd placeholder, as at B = 63; the rare paths
     of the kernel (excursions, big rows, inputs past the word, all-big merge
     groups and capped leaders) then fire in ranges of a few thousand rows.
-    No range holds both n and 2n with 2n past the word, which the kernel
-    assumes (see _survey_chunk): at B = 63 no range of RANGE_CAP rows can."""
+    No range holds both n and 2n with 2n past the word, as at B = 63 no
+    range of RANGE_CAP rows can; the kernel needs no such bound (see
+    test_survey_ranges_hold_n_and_2n_past_the_word), but the draws keep it,
+    so that each seed keeps its case."""
     rng = random.Random(seed)
     word = (1 << rng.randrange(11, 26, 2)) - 1
     constants = {"_INT64_MAX": word, "_CHUNK": rng.choice([7, 64, 512, 1 << 16]),

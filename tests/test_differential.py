@@ -24,7 +24,7 @@ def test_quick_cases_match_head():
                            "--quick", "--against", "HEAD"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith("35 cases against HEAD: 35 bit-identical, 0 differ\n")
+    assert proc.stdout.endswith("36 cases against HEAD: 36 bit-identical, 0 differ\n")
 
 
 @needs_git

@@ -14,17 +14,19 @@ in a child interpreter per tree, with ``PYTHONPATH`` set to that tree's
 both fingerprints; the exit status is 1 if any case differs, 2 if a
 tree cannot be exported or run, and 0 if every case is bit-identical.
 
-The full set is 749 cases over the survey kernel's boundaries: the
+The full set is 857 cases over the survey kernel's boundaries: the
 seed-1 ``exact_wide`` windows, windows just below 2^40 ... 2^62, windows
 across 2^62, across and at 2^63 - 1 (the last input int64 holds) and
 wholly past it up to 2^200, windows whose lanes park past the int64 step
 guard when the cap arrives, windows across the walk's block threshold
 (about 2^69.4), dense ranges, chunk edges, caps that fall between the
 R and the L of a shortcut step, and the edges of the survey's mod 2^8
-sieve: caps 2-7, ranges that end just before and at the first row its
-243 n >= 256 lo gate admits, ranges where both odd classes start in it
-within their first 4096 rows, and a range across its cut at
-(2^63 - 1) // 80. ``--quick`` runs a seconds-long subset of 35.
+sieve, a grid of whole q-rows n = 2^8 q + s from the q-row with 243 q >=
+lo: caps 1-7, ranges that end before, at and after its first q-row,
+ranges where it starts within their first 4096 rows or inside their
+second chunk, dense ranges at lo = 0, 1, 127, 128, 129 and 255 mod 2^8,
+and a range across its cut at (2^63 - 1) // 80. ``--quick`` runs a
+seconds-long subset of 36.
 
 ``--cli`` checks the command line instead: each case is one argv that
 each tree's child runs through ``cli.main`` in a working directory of
@@ -214,6 +216,8 @@ _PAST_INT64 = [((1 << 62) - 300, (1 << 62) + 300), (_INT64_MAX - 300, _INT64_MAX
 
 _MULTI_CHUNK = ((1001, 3 * 2**17 + 5000), (200003, 200002 + 3 * 2**17))
 _SIEVE_STARTS = ((3001, 7096), (9002, 13097), (12283, 16378))
+_GRID_EDGES = [(lo, lo + 2**17 + 700) for lo in (100096 + r for r in (0, 1, 127, 128, 129, 255))]
+_GRID_LATE = [(lo, lo + 3 * 2**16) for lo in (2**21 + 1, 2**21 + 255)]
 
 
 def full_cases() -> list[tuple]:
@@ -248,19 +252,31 @@ def full_cases() -> list[tuple]:
     cases += [_case(1 << e, (1 << e) + 4095, "one", cap)
               for e in (69, 70) for cap in (UNCAPPED, 100)]
     cases += [_case(lo, hi, "repeat", cap) for lo, hi in parking[::2] for cap in (UNCAPPED, 100)]
-    # The survey's mod 2^8 sieve takes odd rows with 243 n >= 256 lo. For lo =
-    # 100039 the first row n = 3 mod 4 it takes, 105391, descends into the
-    # range at step 8 (T^8(n) = 243 q + t); one range ends just before it, one
-    # at it. Caps 2-4 sit at its cap gate (its fewest steps are 3, for n = 1
-    # mod 4), and caps 5-7 at the fewest steps of n = 3 mod 4 (6).
-    cases += _both_modes([(100039, 105390), (100039, 105391)], (7, UNCAPPED))
+    # The survey's mod 2^8 sieve is a grid of whole q-rows, n = 2^8 q + s,
+    # from the q-row with 243 q >= lo. For lo = 100039 that is q-row 412,
+    # [105472, 105727]. Rows before it with 243 n >= 256 lo, such as 105391,
+    # which descends into the range at step 8 (T^8(n) = 243 q + t), step in
+    # the lockstep; two ranges end at 105390 and 105391, and one at the end
+    # of q-row 412. Caps 2-7 pass the fewest steps of n = 1 mod 4 (3) and of
+    # n = 3 mod 4 (6).
+    cases += _both_modes([(100039, 105390), (100039, 105391), (100039, 105727)], (7, UNCAPPED))
     cases += _both_modes([(1, 70000), (30001, 100000)], (2, 3, 4, 5, 6, 7))
     # Ranges whose first row with (3n + 1) / 4 >= lo and first row with 243 n
-    # >= 256 lo both fall in their first 4096 rows.
+    # >= 256 lo both fall in their first 4096 rows, and the grid's first q-row
+    # with them.
     cases += _both_modes(_SIEVE_STARTS, (2, 3, 4, UNCAPPED))
-    # At this word the ratio gate closes long before the sieve's word cut: no
-    # range of RANGE_CAP inputs spans the 5% it would take. The scale model's
-    # words (--scale) cross the cut with the sieve on.
+    # Dense ranges over three chunks at lo = 0, 1, 127, 128, 129 and 255 mod
+    # 2^8, at caps 1-7, past the fewest steps of each class: every chunk's
+    # first and last whole q-rows fall inside it unless lo = 0 mod 2^8, the
+    # last chunk of 701 rows holds one or two, and the rows in [256 lo / 243,
+    # 2 lo) descend to C q + t on both sides of lo. For lo near 2^21 the grid
+    # starts inside the second chunk.
+    cases += _both_modes(_GRID_EDGES, (1, 2, 3, 4, 5, 6, 7, UNCAPPED))
+    cases += _both_modes(_GRID_LATE, (3, UNCAPPED))
+    # At this word the grid's start, 243 q >= lo, lies past its cut for every
+    # range that reaches the cut: no range of RANGE_CAP inputs spans the 5%
+    # it would take. The scale model's words (--scale) cross the cut with
+    # the grid on.
     cut = _INT64_MAX // 80
     cases += _both_modes([(cut - 1500, cut + 1500)], (UNCAPPED, 100))
     for cap in (5, 10, 20, 40, 60, 80, 100, 110, 111, 112,
@@ -288,9 +304,11 @@ def quick_cases() -> list[tuple]:
               _case(1 << 64, (1 << 64) + 4095, "one", UNCAPPED)]
     # Lanes parked past the guard when the cap arrives.
     cases.append(_case(1 << 64, (1 << 64) + 4095, "one", 40))
-    # A range whose last row is the first the mod 2^8 sieve may take, and one
-    # where both odd classes start in the sieve, at the cap gate.
-    cases += [_case(100039, 105391, "one", UNCAPPED), _case(*_SIEVE_STARTS[1], "one", 3)]
+    # A range whose last row is one the grid leaves to the lockstep, one where
+    # the grid starts in its first 4096 rows, at cap 3, and one at lo = 129
+    # mod 2^8 over three chunks, at cap 3.
+    cases += [_case(100039, 105391, "one", UNCAPPED), _case(*_SIEVE_STARTS[1], "one", 3),
+              _case(*_GRID_EDGES[4], "one", 3)]
     return cases
 
 
