@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .collatz import (RANGE_CAP, StopMode, StopRule, TraceSummary, _K, _REASON_CODES, _TAB,
-                      _exact, _walk)
+                      _walk, _walk_repeat)
 from .errors import DomainError, ResourceError, require_int, require_member
 
 # The survey kernel's word: the largest value its int64 lanes hold.
@@ -462,7 +462,8 @@ def survey(lo: int, hi: int, rule: StopRule | None = None) -> SurveyResult:
     # leaves go to the seen-set stepper, which alone can find a cycle.
     if rule.mode is StopMode.ON_REPEAT:
         for offset in _repeat_rows(lo, rule.max_steps, steps, codes):
-            steps[offset], peak, l_count[offset], _, _, codes[offset] = _exact(lo + offset, rule)
+            steps[offset], peak, l_count[offset], _, _, codes[offset] = _walk_repeat(
+                lo + offset, rule.max_steps)
             peaks[offset] = min(peak, _INT64_MAX)
             big_peaks.pop(offset, None)
             if peak > _INT64_MAX:

@@ -23,10 +23,16 @@ start or some 3x+1 of an odd step, and those are A q + B with distinct
 coefficients A = 3^(a+1) 2^(K-i). When q > max B over all residues,
 the one with the largest A is the block's maximum: it beats any other
 A' q + B' by at least q + B - B' > 0. The table keeps that one
-candidate, and blocks are taken only from values of at least
-(max B + 1) 2^K and 2^K (floor + 1). Every value of such a block is
-at least q, which is above the stop floor (1 for AT_ONE), so no block
-passes the value the walk must stop at.
+candidate. Every A is at most c 2^K, with c = ceil(max A / 2^K), and
+every B at most max B, so no value of a block from n <= (peak so far -
+max B) / c tops the peak, and there the candidate is skipped. Blocks are
+taken from values of at least (max B + 1) 2^K, and from values at or
+below that bar, but only from 2^K (floor + 1) on: every value of such a
+block is at least q, which is above the stop floor (1 for AT_ONE), so no
+block passes the value the walk must stop at.
+
+:func:`decode` undoes the blocks backwards, two per division: one block
+is n = 2^K (v - T^K(s)) / 3^r + s, exact only for the right v.
 """
 
 from __future__ import annotations
@@ -122,15 +128,15 @@ def _parity(text: str) -> str:
     return text.replace("RL", "1").replace(L, "0")
 
 
-def _block_table() -> tuple[tuple, dict[str, tuple[int, int, int]], int]:
+def _block_table() -> tuple[tuple, list[tuple[int, int, int]], int]:
     """The K-step blocks of every residue s < 2^K, their inverse, and the
     smallest value from which blocks are exact (see the module docstring).
 
     A block is (text, len(text), 3^r, T^K(s), A, B) with A q + B its peak
     candidate (0, 0 when it has no odd step); the inverse maps the
-    block's parity string to (s, 3^r, T^K(s)).
+    block's parity byte, its first step the high bit, to (s, 3^r, T^K(s)).
     """
-    table, inverse, top_b = [], {}, 0
+    table, inverse, top_b = [], [None] * (1 << _K), 0
     for s in range(1 << _K):
         t, coeff, a, b, text = s, 1 << _K, 0, 0, ""
         for _ in range(_K):
@@ -142,11 +148,15 @@ def _block_table() -> tuple[tuple, dict[str, tuple[int, int, int]], int]:
             else:
                 t, coeff, text = t >> 1, coeff >> 1, text + L
         table.append((text, len(text), coeff, t, a, b))
-        inverse[_parity(text)] = (s, coeff, t)
+        inverse[int(_parity(text), 2)] = (s, coeff, t)
     return tuple(table), inverse, (top_b + 1) << _K
 
 
 _TAB, _INV, _THRESH = _block_table()
+# Every 3x+1 inside a block from n = 2^K q + s is A q + B with A <= _RISE 2^K
+# and B <= _TOP, so A q + B <= _RISE n + _TOP: no value of a block started
+# from n <= (peak - _TOP) // _RISE tops ``peak``.
+_RISE, _TOP = -(-max(row[4] for row in _TAB) >> _K), (_THRESH >> _K) - 1
 
 
 def _walk(n: int, budget: int, floor: int = 1, text: bool = False):
@@ -154,30 +164,33 @@ def _walk(n: int, budget: int, floor: int = 1, text: bool = False):
     steps are taken; floor 0 never stops.
 
     Returns (steps, peak, halvings, final value, branch text or None).
-    Whole K-step blocks are taken while the value is at least
-    ``_THRESH`` and 2^K (floor + 1), and the block fits the budget.
+    Whole K-step blocks are taken while the value is at least 2^K (floor
+    + 1), more than 2K steps of the budget are left (a block takes at most
+    2K, and a single step may follow), and the value is either at least
+    ``_THRESH``, where the block's peak candidate is its maximum, or at
+    most the bar (peak - _TOP) // _RISE, where no value of the block tops
+    the peak so far and the candidate is skipped. The bar is recomputed
+    whenever the peak rises; a stale bar is lower, so still exact.
     """
     cur = peak = n
     steps = halves = 0
     pieces = [] if text else None
-    fast = max(_THRESH, (floor + 1) << _K)
+    low, bar, last = (floor + 1) << _K, (n - _TOP) // _RISE, budget - 2 * _K - 1
     while cur > floor and steps < budget:
-        if cur >= fast:
+        while low <= cur and steps <= last and (cur <= bar or cur >= _THRESH):
             chunk, length, mul, add, a, b = _TAB[cur & _MASK]
-            if steps + length <= budget:
-                q = cur >> _K
-                if a * q + b > peak:
-                    peak = a * q + b
-                cur = mul * q + add
-                steps += length
-                halves += _K
-                if text:
-                    pieces.append(chunk)
-                continue
+            q = cur >> _K
+            if cur > bar and a * q + b > peak:
+                peak = a * q + b
+                bar = (peak - _TOP) // _RISE
+            cur, steps, halves = mul * q + add, steps + length, halves + _K
+            if text:
+                pieces.append(chunk)
         if cur & 1:
             cur = 3 * cur + 1
             if cur > peak:
                 peak = cur
+                bar = (peak - _TOP) // _RISE
             if text:
                 pieces.append(R)
         else:
@@ -222,12 +235,23 @@ def _exact(n: int, rule: StopRule, text: bool = False):
     """Exact steps from ``n`` until ``rule`` stops them.
 
     Returns (steps, peak, halvings, final value, branch text or None,
-    stop code): 0 at 1, 1 for a repeat, 2 at the cap.
+    stop code): 0 at 1, 1 for a repeat, 2 at the cap. No value repeats
+    before the first 1 (a repeat starts a cycle, which would have to hold
+    that 1), and for n >= 3 the first repeat is 1 -> 4, so ON_REPEAT walks
+    as AT_ONE does; a capped prefix is repeat-free once the walk on past
+    the cap reaches 1. Only n <= 2 and an uncertified prefix take the
+    seen-set stepper.
     """
-    if rule.mode is StopMode.ON_REPEAT:
+    if rule.mode is StopMode.ON_REPEAT and n <= 2:
         return _walk_repeat(n, rule.max_steps, text)
     steps, peak, halves, cur, symbols = _walk(n, rule.max_steps, text=text)
-    return steps, peak, halves, cur, symbols, 0 if cur == 1 else 2
+    if rule.mode is StopMode.AT_ONE:
+        return steps, peak, halves, cur, symbols, 0 if cur == 1 else 2
+    if cur == 1 and steps < rule.max_steps:
+        return steps + 1, peak, halves, 4, symbols + R if text else None, 1
+    if cur == 1 or _walk(cur, DEFAULT_MAX_STEPS)[3] == 1:
+        return steps, peak, halves, cur, symbols, 2
+    return _walk_repeat(n, rule.max_steps, text)
 
 
 def trace(n: int, rule: StopRule | None = None) -> TraceRecord:
@@ -287,41 +311,51 @@ def decode(trace: str | Sequence[str], terminal: int) -> int:
     precondition raises :class:`InconsistentTrace` carrying the forward
     index of the failing symbol.
 
-    Whole K-step blocks are undone through the inverse table. If every
-    block inverts exactly, the result is the input: the value is at least
-    1 and T^K(s) < 3^r for every residue, so a remainder of 0 leaves
-    q >= 0, and T^K(2^K q + s) = 3^r q + T^K(s), with the parities of s,
-    holds for every q >= 0 (Terras, 1976). So a forward walk from the
-    result gives ``trace`` and ``terminal``, and the per-symbol walk, whose
-    inverse is unique, would give the same value. Anything else is
-    decided by the per-symbol walk, after every symbol is checked.
+    Whole K-step blocks are undone through the inverse table, two at a
+    time. If every block inverts exactly, the result is the input: the
+    value is at least 1 and T^K(s) < 3^r for every residue, so a remainder
+    of 0 leaves q >= 0, and T^K(2^K q + s) = 3^r q + T^K(s), with the
+    parities of s, holds for every q >= 0 (Terras, 1976). So a forward walk
+    from the result gives ``trace`` and ``terminal``, and the per-symbol
+    walk, whose inverse is unique, would give the same value. Anything
+    else is decided by the per-symbol walk, after every symbol is checked.
 
-    A string holding no 0 or 1 is not checked first: a block key found in
-    the table then came from L and RL tokens only, and the symbols after
-    the last block are checked before they are undone.
+    The blocks' keys are the bytes of one ``int(..., 2)`` of their parity
+    string, once counts show that it holds only 0 and 1 (``int`` also
+    takes ``_``, whitespace, signs and other digits). For an earlier block
+    (s1, m1, t1) and a later one (s2, m2, t2), undoing both from v gives
+    2^K q + s1 with q = (2^K (v - t2) + m2 (s2 - t1)) / (m1 m2), exact if
+    and only if both single inverses are, since 2^K and m1 m2 are coprime;
+    m1 m2 <= 3^16 is one machine digit.
+
+    A string holding no 0 or 1 is not checked first: the blocks' keys then
+    came from L and RL tokens only, and the symbols after the last block
+    are checked before they are undone.
     """
     require_int(terminal, "terminal", 1)
     if not isinstance(trace, str) or "0" in trace or "1" in trace:
         trace = _symbols(trace)
     parity = _parity(trace)
     blocks = (len(parity) - parity.endswith(R)) // _K
-    head = _K * blocks + parity.count("1", 0, _K * blocks)
+    end = _K * blocks
+    ones = len(trace) - len(parity) - parity.count("1", end)  # each RL is one "1"
+    if ones + parity.count("0", 0, end) < end:
+        return _undo(_symbols(trace), terminal)
     try:
-        cur = _undo(_symbols(trace[head:]), terminal)
+        cur = _undo(_symbols(trace[end + ones:]), terminal)
     except BranchTraceError:
         return _undo(_symbols(trace), terminal)
-    keys = [parity[i:i + _K] for i in range(0, _K * blocks, _K)]
-    for block in map(_INV.get, reversed(keys)):
-        if block is None:
-            break
-        s, mul, add = block
-        q, rem = divmod(cur - add, mul)
+    # An odd count gains a leading block of K L's, key 0: its inverse (0, 1,
+    # 0) takes v to 2^K v, exactly, and the last shift takes that back.
+    keys = int(parity[:end] or "0", 2).to_bytes(blocks + (blocks & 1), "big")
+    for i in range(len(keys) - 2, -1, -2):
+        s1, m1, t1 = _INV[keys[i]]
+        s2, m2, t2 = _INV[keys[i + 1]]
+        q, rem = divmod(((cur - t2) << _K) + m2 * (s2 - t1), m1 * m2)
         if rem:
-            break
-        cur = (q << _K) | s
-    else:
-        return cur
-    return _undo(_symbols(trace), terminal)
+            return _undo(_symbols(trace), terminal)
+        cur = (q << _K) | s1
+    return cur >> _K * (blocks & 1)
 
 
 def replay(n: int, trace: str | Sequence[str]) -> tuple[int, int]:

@@ -69,6 +69,34 @@ def test_repeat_mode_matches_oracle():
         assert rec.stop_reason.value == ref["stop_reason"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 27, 639, 2**40 + 1, (1 << 200) + 7,
+                               random.Random(4001).getrandbits(4001) | 1 << 4000],
+                         ids=lambda n: str(n) if n < 1 << 64 else f"{n.bit_length()}-bit")
+def test_repeat_mode_walks_as_at_one(n, monkeypatch):
+    # For n >= 3 no value repeats before the first 1, and the first repeat
+    # is 1 -> 4: so the trace is the AT_ONE one plus an R, and a capped one
+    # is the AT_ONE prefix once the walk on past the cap reaches 1. Caps
+    # fall before, at and after the arrival at 1 and inside blocks.
+    calls, walk_repeat = [], collatz._walk_repeat
+    monkeypatch.setattr(collatz, "_walk_repeat", lambda *args: calls.append(args[0])
+                        or walk_repeat(*args))
+    steps = collatz.trace(n).steps
+    for cap in sorted({1, 2, 7, 8, 9, 100, *range(max(1, steps - 2), steps + 4)}):
+        rec = collatz.trace(n, collatz.StopRule.on_repeat(cap))
+        ref = oracles.hailstone(n, stop_at_one=False, max_steps=cap)
+        assert (rec.trace, rec.steps, rec.peak, rec.terminal, rec.stop_reason.value) == (
+            ref["trace"], ref["steps"], ref["peak"], ref["terminal"], ref["stop_reason"]), cap
+    assert all(start <= 2 for start in calls)
+    # A capped prefix whose walk on does not reach 1 goes to the seen-set
+    # stepper: here the walk on is cut to a step.
+    monkeypatch.setattr(collatz, "DEFAULT_MAX_STEPS", 1)
+    rec = collatz.trace(n, collatz.StopRule.on_repeat(1))
+    ref = oracles.hailstone(n, stop_at_one=False, max_steps=1)
+    assert (rec.trace, rec.peak, rec.terminal, rec.stop_reason.value) == (
+        ref["trace"], ref["peak"], ref["terminal"], ref["stop_reason"])
+    assert calls[-1:] == ([] if n == 4 else [n])  # 4's walk on, 2 -> 1, reaches 1
+
+
 def test_step_cap_is_exact():
     rec = collatz.trace(27, collatz.StopRule.at_one(10))
     assert rec.steps == 10
@@ -189,15 +217,32 @@ def test_decode_finds_bad_symbols_wherever_the_fast_path_skips_them():
     assert outcome(collatz.decode, bad_r, 1) == want == oracles.decode(bad_r, 1)
 
 
+@pytest.mark.parametrize("sym", ["_", " ", "+", "\t", "\u0661"])
+def test_decode_refuses_what_int_would_parse(sym):
+    # The block keys come from int(parity, 2), which also takes underscores
+    # between digits, surrounding whitespace, a sign and any Unicode digit
+    # (U+0661 is ARABIC-INDIC DIGIT ONE). Each is refused like any other bad
+    # symbol: inserted or substituted in the blocks and at either edge of
+    # the block region.
+    text = collatz.trace(27).trace  # 8 whole blocks, then LLRLLLL
+    head = len(text) - 7  # the first symbol after the blocks
+    for i in (0, 1, 20, head - 1, head, len(text) - 1, len(text)):
+        for trace in (text[:i] + sym + text[i:], text[:i] + sym + text[i + 1:]):
+            want = ("DomainError", f"invalid branch symbol {sym!r}", None)
+            assert outcome(collatz.decode, trace, 1) == want == oracles.decode(trace, 1), i
+
+
 # ------------------------------------------------ K-step block stepper
 
 
 def test_block_table_invariants():
     table, inverse = collatz._TAB, collatz._INV
-    assert len(table) == 256 == len({collatz._parity(row[0]) for row in table})
+    assert len(table) == 256 == len({collatz._parity(row[0]) for row in table}) == len(inverse)
     q = collatz._THRESH >> 8  # max B + 1
     for s, (text, length, mul, add, a, b) in enumerate(table):
-        assert inverse[collatz._parity(text)] == (s, mul, add)
+        # The inverse is keyed by the parity byte, the first step its high bit.
+        key = sum(1 << (7 - i) for i, bit in enumerate(collatz._parity(text)) if bit == "1")
+        assert inverse[key] == (s, mul, add)
         assert length == len(text) and text.count("L") == 8
         n = (q << 8) + s
         cur, peak = n, n
@@ -209,6 +254,87 @@ def test_block_table_invariants():
         assert max(n, a * q + b) == peak
         # So decode's exact block inverse of a value >= 1 never has q < 0.
         assert add < mul
+    # The key an odd block count pads with: 8 L's, whose inverse is 2^8 v.
+    assert inverse[0] == (0, 1, 0)
+
+
+def test_peak_bar_constants_hold_for_every_odd_step():
+    # Every 3x+1 inside a block from n = 2^8 q + s is A q + B; the walker's
+    # bar needs A <= _RISE 2^8 and B <= _TOP for all of them, not only for
+    # the table's one candidate per residue. Both constants are tight.
+    coeffs, shifts = [], []
+    for s in range(256):
+        coeff, t = 256, s
+        for _ in range(8):
+            if t & 1:
+                coeffs.append(3 * coeff)
+                shifts.append(3 * t + 1)
+                coeff, t = 3 * coeff // 2, (3 * t + 1) // 2
+            else:
+                coeff, t = coeff // 2, t // 2
+    assert (collatz._RISE, collatz._TOP) == (52, 13120)
+    assert max(coeffs) == 2 * 3**8 and 51 * 256 < max(coeffs) <= collatz._RISE * 256
+    assert max(shifts) == collatz._TOP == (collatz._THRESH >> 8) - 1
+
+
+def test_walk_peak_at_the_bar():
+    # Built from its parity vector (Terras, 1976): three odd shortcut steps,
+    # the peak P as the 3x+1 of a fourth, 31 halvings and 45 odd steps reach
+    # c = 255 mod 2^8 at the start of block 10, with 51 c + _TOP <= P < 52 c.
+    # c's block of eight odd steps tops P, so the peak comes from a block
+    # start that a bar of (P - _TOP) // 51 would skip.
+    n = 1267929518817327650755747023631
+    values = [n]
+    while values[-1] > 1:
+        x = values[-1]
+        values.append(3 * x + 1 if x & 1 else x >> 1)
+    start = [i for i, x in enumerate(values) if x & 1 == 0][79] + 1  # after 80 halvings
+    c, top = values[start], max(values[:start])
+    assert c % 256 == 255 and 51 * c + collatz._TOP <= top < 52 * c
+    rec = collatz.trace(n)
+    ref = oracles.hailstone(n)
+    assert max(values[start:start + 17]) == ref["peak"] == rec.peak > top
+    assert (rec.trace, rec.terminal) == (ref["trace"], ref["terminal"])
+
+
+# Inputs whose bar (peak - _TOP) // _RISE lies at 546, 4565, 73180 and
+# 1205709, in the band [512, _THRESH) where blocks come from the bar alone,
+# and two whose bar is past the band.
+LOW_BAND = [639, 703, 17439, 28287, 2**40 + 1, (1 << 200) + 12345]
+
+
+@pytest.mark.parametrize("n", LOW_BAND)
+def test_walks_take_blocks_below_the_threshold(n):
+    full = oracles.hailstone(n)
+    values = [n]
+    for sym in full["trace"]:
+        values.append(3 * values[-1] + 1 if sym == "R" else values[-1] >> 1)
+    # Every cap whose last value lies in the band, so every block edge there,
+    # and one step past it.
+    band = [i for i, x in enumerate(values) if 512 <= x < collatz._THRESH and i]
+    assert band and (collatz.trace(n).peak - collatz._TOP) // collatz._RISE >= 512
+    for cap in sorted({*band, band[-1] + 1}):
+        rec = collatz.trace(n, collatz.StopRule.at_one(cap))
+        ref = oracles.hailstone(n, max_steps=cap)
+        assert (rec.trace, rec.steps, rec.peak, rec.terminal, rec.stop_reason.value) == (
+            ref["trace"], ref["steps"], ref["peak"], ref["terminal"], ref["stop_reason"]), cap
+        assert collatz.replay(n, rec.trace) == (rec.terminal, rec.peak)
+        assert collatz.decode(rec.trace, rec.terminal) == n
+
+
+def test_decode_undoes_consistent_blocks_without_the_per_symbol_walk(monkeypatch):
+    # The per-symbol walk undoes only what follows the last whole block:
+    # fewer than 8 shortcut steps, and a trailing R.
+    lengths, undo = [], collatz._undo
+    monkeypatch.setattr(collatz, "_undo", lambda trace, cur: lengths.append(len(trace))
+                        or undo(trace, cur))
+    for n in [27, 97, 871, *LOW_BAND, random.Random(3).getrandbits(1001)]:
+        for cap in (8, 15, 16, 17, 100, None):
+            rec = collatz.trace(n, collatz.StopRule.at_one(*([cap] if cap else [])))
+            assert collatz.decode(rec.trace, rec.terminal) == n
+            if rec.terminal & 1:
+                assert collatz.decode(rec.trace + "R", 3 * rec.terminal + 1) == n
+    assert lengths and max(lengths) <= 2 * 7 + 1
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
@@ -677,7 +803,7 @@ def test_survey_inputs_past_int64_start_as_excursion_lanes(monkeypatch, tail, lo
     monkeypatch.setattr(_survey, "_TAIL", tail)
     starts = spy_tail_starts(monkeypatch)
     with monkeypatch.context() as patch:
-        patch.setattr(_survey, "_exact", refuse)
+        patch.setattr(_survey, "_walk_repeat", refuse)
         result = collatz.survey(lo, lo + 29, collatz.StopRule.at_one(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
     assert_big_placeholders(result)
@@ -700,7 +826,7 @@ def test_survey_at_one_rows_never_reach_the_per_row_stepper(monkeypatch, lo, hi,
     # Capped rows, their descendants and merge followers step again in the
     # lockstep; only ON_REPEAT leftovers go to the per-row stepper.
     with monkeypatch.context() as patch:
-        patch.setattr(_survey, "_exact", refuse)
+        patch.setattr(_survey, "_walk_repeat", refuse)
         result = collatz.survey(lo, hi, collatz.StopRule.at_one(*([cap] if cap else [])))
     assert_rows_exact(result, range(len(result)))
 

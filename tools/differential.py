@@ -34,15 +34,19 @@ its own, holding the same input files. Its fingerprint is the sha256 of
 the exit code, stdout, stderr and each ``--out``/``--pbm``/``--center``
 file (or its absence), shown after the exit code; under a case that
 differs, each tree's exit code and last stderr line follow. The full
-set of 145 cases covers survey and bound across 2^62, 2^63 - 1 and
+set of 195 cases covers survey and bound across 2^62, 2^63 - 1 and
 2^64 in CSV and JSON, ranges where a field's width changes inside one
 block of rows, rule 30 images and center columns in both modes, every ``test``
 statistic, ``digest`` of the empty message, of 1 MiB and at the block
 edges (31, 32 and 33 bytes: 0x80 closes a block, starts a block of
 padding alone, or follows one byte over), keys holding whitespace,
-``trace`` and ``invert`` at 2^200, ``--help``, zero steps, usage errors,
-values the library refuses, and unreadable, non-0/1 or non-ASCII input
-(exit 2) and an unwritable output (exit 3). ``--quick`` runs a subset of 18.
+``trace`` and ``invert`` at 2^200, 1,024 and 4,001 bits, ``trace --stop
+repeat`` at 4,001 bits uncapped and capped at the walk's block edges
+below its block threshold (36 caps), ``invert`` of traces holding ``_``,
+a space or U+0661 (digits ``int`` would parse), ``--help``, zero steps,
+usage errors, values the library refuses, and unreadable, non-0/1 or
+non-ASCII input (exit 2) and an unwritable output (exit 3). ``--quick``
+runs a subset of 18.
 
 ``--scale SECONDS`` runs seeded draws of the survey kernel's scale model,
 ``scale_model`` in ``tests/test_collatz.py`` (loaded by path, so there is
@@ -322,6 +326,9 @@ def _hailstone(n: int) -> str:
 
 
 _ZERO_KEY = "00" * 32
+# collatz._THRESH, (max B + 1) 2^8: the walk takes blocks from here up, and
+# below it only from values at or under its peak bar.
+_THRESH = 13121 << 8
 # The windows the survey and bound cases cross: 2^62, 2^63 - 1 (the last
 # input the kernel's int64 lanes hold) and 2^64.
 _CLI_WINDOWS = (((1 << 62) - 40, (1 << 62) + 40), (_INT64_MAX - 40, _INT64_MAX + 40),
@@ -382,6 +389,26 @@ def cli_cases() -> list[tuple]:
         cases += [_cli_case("trace", n), _cli_case("trace", n, "--format", "text"),
                   _cli_case("trace", n, "--stop", "repeat", "--max-steps", 500)]
         cases.append(_cli_case("invert", "--trace", _hailstone(n), "--terminal", 1))
+    # Wide round trips, where decode's packed keys and paired blocks do the
+    # work, and ON_REPEAT traces that walk as AT_ONE ones do: uncapped, and
+    # capped at each block edge (8 halvings from n) in [2^9, _THRESH), where
+    # blocks come from the peak bar, and a step to either side.
+    for bits in (1024, 4001):
+        n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+        text = _hailstone(n)
+        cases += [_cli_case("trace", n), _cli_case("invert", "--trace", text, "--terminal", 1)]
+    cases.append(_cli_case("trace", n, "--stop", "repeat"))
+    value, halvings, edges = n, 0, set()
+    for i, sym in enumerate(text, 1):
+        value, halvings = (3 * value + 1, halvings) if sym == "R" else (value >> 1, halvings + 1)
+        if sym == "L" and halvings % 8 == 0 and 1 << 9 <= value < _THRESH:
+            edges |= {i - 1, i, i + 1}
+    cases += [_cli_case("trace", n, "--stop", "repeat", "--max-steps", cap) for cap in sorted(edges)]
+    # Symbols int(..., 2) would parse, in the blocks and at their edges: each
+    # is an invalid branch symbol.
+    text = _hailstone(27)  # 8 whole blocks, then LLRLLLL
+    cases += [_cli_case("invert", "--trace", text[:i] + sym + text[i:], "--terminal", 1)
+              for sym in ("_", " ", "\u0661") for i in (0, 5, len(text) - 7)]
     cases += [_cli_case("invert", "--trace", "L" * 200, "--terminal", 5),
               _cli_case("invert", "--trace", "LLRR", "--terminal", 1),
               _cli_case("invert", "--trace", "LXL", "--terminal", 1),
