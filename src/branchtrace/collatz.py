@@ -238,8 +238,7 @@ def _exact(n: int, rule: StopRule, text: bool = False):
     stop code): 0 at 1, 1 for a repeat, 2 at the cap. No value repeats
     before the first 1 (a repeat starts a cycle, which would have to hold
     that 1), and for n >= 3 the first repeat is 1 -> 4, so ON_REPEAT walks
-    as AT_ONE does; a capped prefix is repeat-free once the walk on past
-    the cap reaches 1. Only n <= 2 and an uncertified prefix take the
+    as AT_ONE does. Only n <= 2 and a walk capped short of 1 take the
     seen-set stepper.
     """
     if rule.mode is StopMode.ON_REPEAT and n <= 2:
@@ -247,11 +246,11 @@ def _exact(n: int, rule: StopRule, text: bool = False):
     steps, peak, halves, cur, symbols = _walk(n, rule.max_steps, text=text)
     if rule.mode is StopMode.AT_ONE:
         return steps, peak, halves, cur, symbols, 0 if cur == 1 else 2
-    if cur == 1 and steps < rule.max_steps:
+    if cur != 1:
+        return _walk_repeat(n, rule.max_steps, text)
+    if steps < rule.max_steps:
         return steps + 1, peak, halves, 4, symbols + R if text else None, 1
-    if cur == 1 or _walk(cur, DEFAULT_MAX_STEPS)[3] == 1:
-        return steps, peak, halves, cur, symbols, 2
-    return _walk_repeat(n, rule.max_steps, text)
+    return steps, peak, halves, cur, symbols, 2
 
 
 def trace(n: int, rule: StopRule | None = None) -> TraceRecord:

@@ -74,27 +74,21 @@ def test_repeat_mode_matches_oracle():
                          ids=lambda n: str(n) if n < 1 << 64 else f"{n.bit_length()}-bit")
 def test_repeat_mode_walks_as_at_one(n, monkeypatch):
     # For n >= 3 no value repeats before the first 1, and the first repeat
-    # is 1 -> 4: so the trace is the AT_ONE one plus an R, and a capped one
-    # is the AT_ONE prefix once the walk on past the cap reaches 1. Caps
-    # fall before, at and after the arrival at 1 and inside blocks.
+    # is 1 -> 4: so a walk that reaches 1 is the AT_ONE trace plus an R, or
+    # at the cap the AT_ONE trace itself. A walk capped short of 1, and
+    # every walk from n <= 2, goes to the seen-set stepper. Caps fall
+    # before, at and after the arrival at 1 and inside blocks.
     calls, walk_repeat = [], collatz._walk_repeat
     monkeypatch.setattr(collatz, "_walk_repeat", lambda *args: calls.append(args[0])
                         or walk_repeat(*args))
     steps = collatz.trace(n).steps
     for cap in sorted({1, 2, 7, 8, 9, 100, *range(max(1, steps - 2), steps + 4)}):
+        calls.clear()
         rec = collatz.trace(n, collatz.StopRule.on_repeat(cap))
         ref = oracles.hailstone(n, stop_at_one=False, max_steps=cap)
         assert (rec.trace, rec.steps, rec.peak, rec.terminal, rec.stop_reason.value) == (
             ref["trace"], ref["steps"], ref["peak"], ref["terminal"], ref["stop_reason"]), cap
-    assert all(start <= 2 for start in calls)
-    # A capped prefix whose walk on does not reach 1 goes to the seen-set
-    # stepper: here the walk on is cut to a step.
-    monkeypatch.setattr(collatz, "DEFAULT_MAX_STEPS", 1)
-    rec = collatz.trace(n, collatz.StopRule.on_repeat(1))
-    ref = oracles.hailstone(n, stop_at_one=False, max_steps=1)
-    assert (rec.trace, rec.peak, rec.terminal, rec.stop_reason.value) == (
-        ref["trace"], ref["peak"], ref["terminal"], ref["stop_reason"])
-    assert calls[-1:] == ([] if n == 4 else [n])  # 4's walk on, 2 -> 1, reaches 1
+        assert calls == ([n] if n <= 2 or cap < steps else []), cap
 
 
 def test_step_cap_is_exact():
