@@ -239,9 +239,10 @@ def _exact(n: int, rule: StopRule, text: bool = False):
     before the first 1 (a repeat starts a cycle, which would have to hold
     that 1), and for n >= 3 the first repeat is 1 -> 4, so ON_REPEAT walks
     as AT_ONE does. Only n <= 2 and a walk capped short of 1 take the
-    seen-set stepper.
+    seen-set stepper, which a value of at least 2^(cap + 1) takes at once:
+    a step at most halves, so it cannot reach 1 within the cap.
     """
-    if rule.mode is StopMode.ON_REPEAT and n <= 2:
+    if rule.mode is StopMode.ON_REPEAT and (n <= 2 or n >> rule.max_steps > 1):
         return _walk_repeat(n, rule.max_steps, text)
     steps, peak, halves, cur, symbols = _walk(n, rule.max_steps, text=text)
     if rule.mode is StopMode.AT_ONE:

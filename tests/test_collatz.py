@@ -69,7 +69,7 @@ def test_repeat_mode_matches_oracle():
         assert rec.stop_reason.value == ref["stop_reason"]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 27, 639, 2**40 + 1, (1 << 200) + 7,
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 27, 639, 2**40, 2**40 + 1, (1 << 200) + 7,
                                random.Random(4001).getrandbits(4001) | 1 << 4000],
                          ids=lambda n: str(n) if n < 1 << 64 else f"{n.bit_length()}-bit")
 def test_repeat_mode_walks_as_at_one(n, monkeypatch):
